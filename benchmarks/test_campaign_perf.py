@@ -8,9 +8,12 @@ once:
 
 * **Equivalence** — the two record streams are bit-identical; the grid
   cache memoises deterministic clean times only, never the noise stream.
-* **Throughput** — the optimized run's points/s must not fall below the
-  baseline measured in the same job, so the triage fixes cannot silently
-  regress.
+* **Throughput** — the optimized configuration's median points/s must
+  not fall below the baseline's, measured in the same job, so the triage
+  fixes cannot silently regress.  Each timed run repeats the cold
+  campaign until it has measured for at least a second, and baseline and
+  optimized runs alternate, so scheduler noise and drift hit both sides
+  alike.
 * **Schema** — the emitted payload passes
   :func:`repro.benchdata.bench.validate_campaign_bench_payload` (and the
   shared :func:`repro.serve.bench.validate_bench_payload` dispatcher)
@@ -23,6 +26,7 @@ uploaded artifact path).
 
 import json
 import os
+import statistics
 
 import pytest
 
@@ -33,15 +37,11 @@ from repro.benchdata import (
     validate_campaign_bench_payload,
     write_campaign_bench,
 )
-from repro.benchdata.engine import (
-    BLOCK_PROFILE_CACHE,
-    CLEAN_TIME_CACHE,
-    VERIFY_CACHE,
-)
+from repro.benchdata.engine import CLEAN_TIME_CACHE
 from repro.core.forward import ForwardModel
 from repro.core.persistence import save_model
 from repro.hardware.device import get_device
-from repro.hardware.roofline import PROFILE_CACHE
+from repro.hardware.roofline import COMPILE_CACHE
 from repro.serve import (
     BenchConfig,
     ModelRegistry,
@@ -53,15 +53,20 @@ BENCH_MODELS = ("alexnet", "resnet18", "resnet50", "mobilenet_v2", "vgg11")
 BENCH_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 BENCH_IMAGES = (64, 128, 224)
 BENCH_SEED = 29
+#: Minimum measured time per timed run, seconds.  One cold campaign
+#: measures for ~50 ms, short enough that a single scheduler hiccup
+#: decided a one-campaign gate in about 2 of 15 standalone runs.
+TIMED_RUN_SECONDS = 1.0
+#: Alternating baseline/optimized timed-run pairs; the gate compares
+#: the medians.
+TIMED_PAIRS = 5
 
 
 def _clear_engine_caches() -> None:
     """Cold-start every cache a campaign touches, so both timed runs pay
     identical warm-up costs and their stats counters stay comparable."""
-    PROFILE_CACHE.clear()
-    BLOCK_PROFILE_CACHE.clear()
+    COMPILE_CACHE.clear()
     CLEAN_TIME_CACHE.clear()
-    VERIFY_CACHE.clear()
 
 
 def _bench_spec() -> CampaignSpec:
@@ -84,33 +89,29 @@ def test_campaign_perf_trajectory(tmp_path, capsys):
     _clear_engine_caches()
     run_campaign(spec, verify="off", grid_cache=True)
 
-    # Best-of-N per configuration: each timed window is tens of
-    # milliseconds, so a single sample is at the mercy of the scheduler.
-    # The minimum wall time is the standard low-noise estimator here.
-    def timed_run(grid_cache: bool, reps: int = 3):
-        best = None
-        for _ in range(reps):
+    def timed_run(grid_cache: bool):
+        """Cold campaigns until TIMED_RUN_SECONDS of measuring; returns
+        (points/s over all of them, the last result)."""
+        points = 0
+        elapsed = 0.0
+        while elapsed < TIMED_RUN_SECONDS:
             _clear_engine_caches()
             result = run_campaign(spec, verify="off", grid_cache=grid_cache)
-            if (
-                best is None
-                or result.stats.elapsed_seconds < best.stats.elapsed_seconds
-            ):
-                best = result
-        return best
+            points += result.stats.n_executed
+            elapsed += result.stats.elapsed_seconds
+        return points / elapsed, result
 
-    baseline = timed_run(grid_cache=False)
+    baseline_runs, optimized_runs = [], []
+    for _ in range(TIMED_PAIRS):
+        baseline_runs.append(timed_run(grid_cache=False))
+        optimized_runs.append(timed_run(grid_cache=True))
+    baseline = baseline_runs[-1][1]
+    optimized = optimized_runs[-1][1]
 
     _clear_engine_caches()
     grid_before = CLEAN_TIME_CACHE.stats()
-    optimized = run_campaign(spec, verify="off", grid_cache=True)
+    run_campaign(spec, verify="off", grid_cache=True)
     grid_delta = CLEAN_TIME_CACHE.stats() - grid_before
-    best_optimized = timed_run(grid_cache=True)
-    if (
-        best_optimized.stats.elapsed_seconds
-        < optimized.stats.elapsed_seconds
-    ):
-        optimized = best_optimized
 
     # Equivalence: the grid cache only memoises deterministic clean
     # times, so every record — and the profile-cache counters the stats
@@ -121,8 +122,8 @@ def test_campaign_perf_trajectory(tmp_path, capsys):
 
     # Throughput: the shipped configuration must not lose to the
     # pre-triage baseline measured in this same process.
-    baseline_pps = baseline.stats.points_per_second
-    optimized_pps = optimized.stats.points_per_second
+    baseline_pps = statistics.median(pps for pps, _ in baseline_runs)
+    optimized_pps = statistics.median(pps for pps, _ in optimized_runs)
     assert baseline_pps > 0
     assert optimized_pps >= baseline_pps
 
@@ -152,8 +153,9 @@ def test_campaign_perf_trajectory(tmp_path, capsys):
         n_points=optimized.stats.n_executed,
         workers=1,
         seed=spec.seed,
-        baseline_wall_seconds=baseline.stats.elapsed_seconds,
-        optimized_wall_seconds=optimized.stats.elapsed_seconds,
+        # Per-campaign wall times at the median rates.
+        baseline_wall_seconds=optimized.stats.n_executed / baseline_pps,
+        optimized_wall_seconds=optimized.stats.n_executed / optimized_pps,
         grid_cache_stats=grid_delta.to_dict(),
         serve_qps=serve_payload["qps"],
         serve_queries=serve_payload["totals"]["queries"],

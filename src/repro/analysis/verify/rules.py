@@ -1,9 +1,14 @@
 """The IR verification rules.
 
 Each rule is a pure function ``(graph, summary) -> Iterable[Diagnostic]``
-registered in :data:`IR_RULES`.  Rules re-derive every property they check
-from the layer definitions themselves rather than trusting the values the
-graph (or a cached profile) stores — the point of the verifier is to catch
+registered in :data:`IR_RULES`; IR009, the one rule that needs only the
+cost arrays, takes ``(profile, min_batch)`` instead.  :func:`verify_graph`
+costs a graph once and hands every rule the same
+:class:`~repro.graph.metrics.CostSummary` and
+:class:`~repro.hardware.roofline.CostProfile` — the ones a campaign then
+measures (:func:`repro.hardware.roofline.compile_graph`).  Rules re-derive
+every property they check from the layer definitions themselves rather
+than trusting those values — the point of the verifier is to catch
 exactly the case where stored and recomputed numbers diverge.
 
 Rule ids are stable API (tests, suppression lists, and CI grep for them):
@@ -39,7 +44,7 @@ IR009     INFO       edge-memory advisory: training the graph at the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.graph.graph import ComputeGraph, Node
@@ -54,7 +59,10 @@ from repro.graph.layers import (
     Linear,
     MaxPool2d,
 )
-from repro.graph.metrics import CostSummary, summarize_costs
+from repro.graph.metrics import CostSummary, graph_costs
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.hardware.roofline import CostProfile
 
 
 class GraphVerificationError(ValueError):
@@ -202,7 +210,7 @@ def _recompute_summary(graph: ComputeGraph) -> CostSummary:
     Deliberately does *not* call :func:`repro.graph.metrics.graph_costs`:
     this loop is the independent second opinion that catches double counting
     (for example a fused block contributing its FLOPs twice) in the
-    production accounting path or in a cached profile.
+    production accounting path — the very costs a campaign measures.
     """
     flops = conv_in = conv_out = weights = layers = total_out = 0
     for node in graph:
@@ -252,25 +260,27 @@ def _topology_broken(graph: ComputeGraph) -> bool:
 def check_metric_accounting(
     graph: ComputeGraph, summary: CostSummary | None
 ) -> Iterator[Diagnostic]:
-    if _topology_broken(graph):
+    """Compare the cost summary against an independent recomputation.
+
+    ``summary`` is what the production accounting path produced — by
+    default the one :func:`verify_graph` derives from the graph's costs.
+    Nothing to check without one (an uncostable graph is IR003's finding).
+    """
+    if summary is None or _topology_broken(graph):
         return
     recomputed = _recompute_summary(graph)
-    candidates = [("summarize_costs", summarize_costs(graph))]
-    if summary is not None:
-        candidates.append(("supplied summary", summary))
-    for source, candidate in candidates:
-        for attr, label in _METRIC_FIELDS:
-            got, want = getattr(candidate, attr), getattr(recomputed, attr)
-            if got != want:
-                yield Diagnostic(
-                    "IR004",
-                    Severity.ERROR,
-                    _loc(graph),
-                    f"{label} from {source} is {got}, but independent "
-                    f"per-layer recomputation gives {want}",
-                    hint="a layer is double-counted or dropped "
-                    "(fused-block accounting is the usual culprit)",
-                )
+    for attr, label in _METRIC_FIELDS:
+        got, want = getattr(summary, attr), getattr(recomputed, attr)
+        if got != want:
+            yield Diagnostic(
+                "IR004",
+                Severity.ERROR,
+                _loc(graph),
+                f"{label} from the cost summary is {got}, but independent "
+                f"per-layer recomputation gives {want}",
+                hint="a layer is double-counted or dropped "
+                "(fused-block accounting is the usual culprit)",
+            )
 
 
 # -- IR005: parameter sanity ---------------------------------------------------
@@ -423,9 +433,8 @@ _PROBE_BATCHES = (2, 3, 7)
 def check_batch_scaling(
     graph: ComputeGraph, summary: CostSummary | None
 ) -> Iterator[Diagnostic]:
-    if summary is None and _topology_broken(graph):
+    if summary is None:
         return
-    base = summary if summary is not None else summarize_costs(graph)
     linear = (
         "flops", "conv_input_elems", "conv_output_elems",
         "total_output_elems",
@@ -433,7 +442,7 @@ def check_batch_scaling(
     invariant = ("weights", "layers")
     for batch in _PROBE_BATCHES:
         try:
-            scaled = base.at_batch(batch)
+            scaled = summary.at_batch(batch)
         except (ValueError, TypeError) as exc:
             yield Diagnostic(
                 "IR006",
@@ -443,26 +452,26 @@ def check_batch_scaling(
             )
             return
         for attr in linear:
-            if getattr(scaled, attr) != batch * getattr(base, attr):
+            if getattr(scaled, attr) != batch * getattr(summary, attr):
                 yield Diagnostic(
                     "IR006",
                     Severity.ERROR,
                     _loc(graph),
                     f"{attr} is not linear in the batch size: "
                     f"at_batch({batch}) gives {getattr(scaled, attr)}, "
-                    f"expected {batch * getattr(base, attr)}",
+                    f"expected {batch * getattr(summary, attr)}",
                     hint="ConvMeter's b·(c1·F + c2·I + c3·O) regression "
                     "requires exact linearity",
                 )
         for attr in invariant:
-            if getattr(scaled, attr) != getattr(base, attr):
+            if getattr(scaled, attr) != getattr(summary, attr):
                 yield Diagnostic(
                     "IR006",
                     Severity.ERROR,
                     _loc(graph),
                     f"{attr} changed under batching: at_batch({batch}) "
                     f"gives {getattr(scaled, attr)}, expected the "
-                    f"batch-invariant {getattr(base, attr)}",
+                    f"batch-invariant {getattr(summary, attr)}",
                 )
 
 
@@ -504,9 +513,7 @@ def check_unfused_batchnorm(
 
 
 def check_edge_memory(
-    graph: ComputeGraph,
-    summary: CostSummary | None,
-    min_batch: int = 1,
+    profile: "CostProfile | None", min_batch: int = 1
 ) -> Iterator[Diagnostic]:
     """Advisory: no registered edge-GPU preset can train this graph.
 
@@ -516,14 +523,14 @@ def check_edge_memory(
     ``--backend edge`` campaign of this graph records nothing but OOM
     markers; the advisory says so before the sweep is paid for.  One INFO
     per graph, like IR007.
+
+    Needs only the graph's cost profile, so a campaign evaluates it on the
+    profile it compiled once, at its own smallest batch.  ``None`` (an
+    uncostable graph, IR001–IR004 territory) has nothing to add.
     """
     from repro.hardware.backend import edge_backends
-    from repro.hardware.roofline import profile_graph
 
-    try:
-        profile = profile_graph(graph)
-    except (ValueError, KeyError, TypeError):
-        # An uncostable graph is IR001-IR004 territory; nothing to add.
+    if profile is None:
         return
     backends = edge_backends()
     if any(b.fits(profile, min_batch, training=True) for b in backends):
@@ -533,7 +540,7 @@ def check_edge_memory(
     yield Diagnostic(
         "IR009",
         Severity.INFO,
-        _loc(graph),
+        profile.graph_name,
         f"training at batch {min_batch} needs >= {need / 1e9:.1f} GB; no "
         f"registered edge preset fits it (largest: {biggest.device.name}, "
         f"{biggest.memory_available() / 1e9:.1f} GB usable)",
@@ -639,13 +646,15 @@ def verify_transform(
 
 @dataclass(frozen=True)
 class VerifyRule:
-    """Registry record of one IR rule (the docs catalogue renders these)."""
+    """Registry record of one IR rule (the docs catalogue renders these).
+
+    ``check`` takes ``(graph, summary)``; IR009's takes ``(profile,
+    min_batch)`` and :func:`verify_graph` calls it that way.
+    """
 
     rule: str
     title: str
-    check: Callable[
-        [ComputeGraph, CostSummary | None], Iterable[Diagnostic]
-    ]
+    check: Callable[..., Iterable[Diagnostic]]
 
 
 IR_RULES: tuple[VerifyRule, ...] = (
@@ -667,24 +676,36 @@ def verify_graph(
     summary: CostSummary | None = None,
     ignore: Iterable[str] = (),
     edge_batch: int = 1,
+    profile: "CostProfile | None" = None,
 ) -> list[Diagnostic]:
     """Run every IR rule over a graph; most severe findings first.
 
-    ``summary`` optionally supplies an externally cached metric summary
-    (for example derived from a :class:`~repro.hardware.roofline.
-    CostProfile`) to cross-check against fresh recomputation — the defence
-    against stale or corrupted caches.  ``ignore`` suppresses whole rule
-    ids, the verifier's suppression mechanism.  ``edge_batch`` is the
-    smallest batch size the caller would measure — IR009's coordinate
-    (campaigns pass ``min(spec.batch_sizes)``).
+    The rules check the graph's metric summary (IR004 against independent
+    recomputation, IR006 under batch scaling) and cost profile (IR009).
+    Both come from one :func:`~repro.graph.metrics.graph_costs` pass
+    unless the caller supplies them — a campaign passes the summary and
+    profile it is about to measure, so the verdict covers exactly those
+    numbers; a cached or externally derived summary is cross-checked the
+    same way.  ``ignore`` suppresses whole rule ids, the verifier's
+    suppression mechanism.  ``edge_batch`` is the smallest batch size the
+    caller would measure — IR009's coordinate (campaigns pass
+    ``min(spec.batch_sizes)``).
     """
     skip = frozenset(ignore)
+    if (summary is None or profile is None) and not _topology_broken(graph):
+        from repro.hardware.roofline import CostProfile
+
+        costs = graph_costs(graph)
+        if summary is None:
+            summary = CostSummary.from_costs(costs)
+        if profile is None:
+            profile = CostProfile.from_costs(graph.name, costs)
     found: list[Diagnostic] = []
     for rule in IR_RULES:
         if rule.rule in skip:
             continue
         if rule.rule == "IR009":
-            found.extend(check_edge_memory(graph, summary, edge_batch))
+            found.extend(check_edge_memory(profile, edge_batch))
         else:
             found.extend(rule.check(graph, summary))
     return sort_diagnostics(found)

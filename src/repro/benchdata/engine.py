@@ -14,19 +14,21 @@ sweep into an explicit point list and executes it through one engine:
   point index, so parallel runs are byte-identical to serial ones; all
   measurement noise is seeded from the point identity via
   :func:`repro.hardware.noise.point_seed`, never from call order.
-* **Memoisation** — graph profiles are built once per ``(model, image)``
-  per process through the bounded caches here and in
-  :mod:`repro.hardware.roofline`; per-point cache deltas are aggregated
-  across workers so the reported hit rate covers the whole campaign.
+* **Memoisation** — each unique graph is compiled once per process
+  (:func:`repro.hardware.roofline.compile_graph`: built, transformed,
+  costed, verified) into the bounded compile cache; cache deltas of the
+  compile step and of every point are aggregated across workers so the
+  reported hit rate covers the whole campaign.
 * **Resume** — with a :class:`repro.benchdata.store.CampaignStore`
   attached, each point's records (including the empty record lists of
   memory-gated points) are appended to a JSONL log as they complete;
   rerunning skips everything already on disk and appends only the rest.
-* **Verification** — before measuring, :func:`run_campaign` runs the graph
-  IR verifier (:mod:`repro.analysis.verify`) over every unique graph the
-  sweep will touch.  ``verify="strict"`` refuses to measure a graph with
-  ERROR diagnostics; the default ``"warn"`` measures anyway but emits a
-  warning and records the error count in :class:`CampaignStats`.
+* **Verification** — before measuring, :func:`run_campaign` compiles every
+  unique graph the sweep will touch and runs the graph IR verifier
+  (:mod:`repro.analysis.verify`) over the costs it is about to measure.
+  ``verify="strict"`` refuses to measure a graph with ERROR diagnostics;
+  the default ``"warn"`` measures anyway but emits a warning and records
+  the error count in :class:`CampaignStats`.
 """
 
 from __future__ import annotations
@@ -57,13 +59,13 @@ from repro.hardware.executor import (
 )
 from repro.hardware.memory import fits
 from repro.hardware.roofline import (
-    PROFILE_CACHE,
     CostProfile,
-    profile_graph,
+    compile_graph,
+    profile_cache_stats,
     zoo_profile,
 )
 from repro.trace.tracer import merge_counters
-from repro.zoo.blocks import BLOCK_CATALOGUE, build_block
+from repro.zoo.blocks import BLOCK_CATALOGUE
 from repro.zoo.registry import get_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses spec)
@@ -72,33 +74,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses spec)
 
 SCENARIOS = ("inference", "training", "distributed", "blocks")
 
-#: Bounded cache of Table 2 block profiles, keyed ``(block, image_size)``.
-BLOCK_PROFILE_CACHE: LRUCache[tuple[str, int], CostProfile] = LRUCache(
-    maxsize=256
-)
-
-
 def block_profile(block_name: str, image_size: int) -> CostProfile:
     """Cached cost profile of a Table 2 block at a given parent image size."""
-
-    def build() -> CostProfile:
-        for spec in BLOCK_CATALOGUE:
-            if spec.name == block_name:
-                return profile_graph(build_block(spec, image_size))
-        raise KeyError(f"unknown block {block_name!r}")
-
-    return BLOCK_PROFILE_CACHE.get_or_compute((block_name, image_size), build)
-
-
-def engine_cache_stats() -> CacheStats:
-    """Combined counters of the profile caches the engine draws from.
-
-    Deliberately excludes :data:`CLEAN_TIME_CACHE`: campaign stats have
-    always reported *profile*-cache behaviour, and the perf-trajectory
-    benchmark compares runs with grid caching on and off against the same
-    counter definition.
-    """
-    return PROFILE_CACHE.stats() + BLOCK_PROFILE_CACHE.stats()
+    return compile_graph("block", block_name, image_size).profile
 
 
 #: Bounded cache of clean-time grids, keyed by everything the noise-free
@@ -308,89 +286,49 @@ def enumerate_points(spec: CampaignSpec) -> list[SweepPoint]:
 
 VERIFY_MODES = ("off", "warn", "strict")
 
-#: Cached verification verdicts, keyed like the profile caches so a sweep
-#: verifies each unique graph once per process, not once per point.  The
-#: key carries the transform string and the IR007 gate, so raw and fused
-#: sweeps of the same graph cache separate verdicts.
-VERIFY_CACHE: LRUCache[
-    tuple[str, str, int, str, bool, int], tuple[Diagnostic, ...]
-] = LRUCache(maxsize=512)
-
-
-def _verify_graph_cached(
-    kind: str,
-    name: str,
-    image_size: int,
-    transform: str = "",
-    advise_fusion: bool = False,
-    edge_batch: int = 1,
-) -> tuple[Diagnostic, ...]:
-    def build() -> tuple[Diagnostic, ...]:
-        # Imported lazily: repro.analysis pulls in repro.core, which imports
-        # this package's records module — a cycle at module-import time.
-        from repro.analysis.verify import verify_graph, verify_transform
-
-        if kind == "block":
-            for block in BLOCK_CATALOGUE:
-                if block.name == name:
-                    graph = build_block(block, image_size)
-                    break
-            else:
-                raise KeyError(f"unknown block {name!r}")
-        else:
-            from repro.zoo import build_model
-
-            graph = build_model(name, image_size)
-        # IR007 (fold your BatchNorms) is only actionable advice for raw
-        # inference sweeps; training needs live BatchNorm and a fused sweep
-        # already took the advice.
-        ignore = () if advise_fusion else ("IR007",)
-        found = list(
-            verify_graph(graph, ignore=ignore, edge_batch=edge_batch)
-        )
-        if transform:
-            from repro.graph.passes import resolve_transform
-
-            pipeline = resolve_transform(transform)
-            assert pipeline is not None
-            transformed = pipeline.run(graph).graph
-            # Both halves of the contract: the rewritten graph is itself a
-            # well-formed IR, and the rewrite preserved the semantics.
-            # IR009 is skipped on the fused half — one edge-memory advisory
-            # per graph is enough.
-            found.extend(
-                verify_graph(transformed, ignore=("IR007", "IR009"))
-            )
-            found.extend(verify_transform(graph, transformed))
-        return tuple(sort_diagnostics(found))
-
-    return VERIFY_CACHE.get_or_compute(
-        (kind, name, image_size, transform, advise_fusion, edge_batch), build
-    )
-
 
 def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
-    """Verify every unique graph a campaign will measure.
+    """Compile and verify every unique graph a campaign will measure.
 
-    The verdicts are cached per ``(model, image_size)``, mirroring the
-    profile caches, so the verification cost is one graph build per unique
-    configuration — negligible next to the sweep itself.  For transformed
-    campaigns each graph is verified twice — raw and after the pipeline —
-    plus the IR008 preservation check across the pair.
+    Each unique ``(model, image_size)`` graph is built, transformed and
+    costed once (:func:`~repro.hardware.roofline.compile_graph`), and the
+    IR rules check the summary and profile derived from those costs — the
+    profile the sweep then reads from the same cache.  The graph is dropped
+    after compiling.  For transformed campaigns the raw and the transformed
+    graph are verified, plus the IR008 preservation check across the pair.
+    The IR007 fusion advisory applies to raw inference sweeps only; IR009
+    is evaluated on the raw graph's profile at the sweep's smallest batch.
+
+    This is not free: on the default inference grid (96 graphs; 2-vCPU
+    x86 host, CPython 3.11) the step takes ~0.6 s, builds and costing
+    included, and is most of the campaign's compute — the sweep that
+    follows reads every profile from the cache and runs in ~0.12 s.
     """
+    # Imported lazily: repro.analysis pulls in repro.core, which imports
+    # this package's records module — a cycle at module-import time.
+    from repro.analysis.verify import rules
+
     kind = "block" if spec.scenario == "blocks" else "model"
     advise_fusion = spec.scenario == "inference" and not spec.transform
+    pipeline = None
+    if spec.transform:
+        from repro.graph.passes import resolve_transform
+
+        pipeline = resolve_transform(spec.transform)
     unique: dict[tuple[str, int], None] = {}
     for point in enumerate_points(spec):
         unique.setdefault((point.model, point.image_size), None)
     edge_batch = min(spec.batch_sizes)
     found: list[Diagnostic] = []
     for name, image_size in unique:
+        compiled = compile_graph(kind, name, image_size, pipeline, verify=True)
+        assert compiled.findings is not None
         found.extend(
-            _verify_graph_cached(
-                kind, name, image_size, spec.transform, advise_fusion,
-                edge_batch=edge_batch,
-            )
+            d for d in compiled.findings
+            if advise_fusion or d.rule != "IR007"
+        )
+        found.extend(
+            rules.check_edge_memory(compiled.raw_profile, edge_batch)
         )
     return sort_diagnostics(found)
 
@@ -427,7 +365,7 @@ def _point_profile(spec: CampaignSpec, point: SweepPoint) -> CostProfile:
         from repro.graph.passes import resolve_transform
 
         # Resolving is a cheap registry lookup; the expensive build+rewrite
-        # is memoised in PROFILE_CACHE under the pipeline fingerprint, so
+        # is memoised in COMPILE_CACHE under the pipeline fingerprint, so
         # workers and resumed runs share the same cached profiles as a
         # serial run.
         return zoo_profile(
@@ -709,13 +647,13 @@ def _run_point_task(
     processes."""
     index, point = task
     assert _WORKER_SPEC is not None, "worker pool not initialised"
-    before = engine_cache_stats()
+    before = profile_cache_stats()
     records, counters, gate = _measure_point(
         _WORKER_SPEC, point, grid_cache=_WORKER_GRID_CACHE
     )
     return (
         index, point.key, records, counters,
-        engine_cache_stats() - before, gate,
+        profile_cache_stats() - before, gate,
     )
 
 
@@ -825,7 +763,11 @@ def run_campaign(
     record stream is bit-identical with it off, just slower — the switch
     exists for the perf-trajectory baseline and the equivalence tests.
     """
+    # The compile step inside verification is where each unique graph
+    # misses; its lookups count toward the campaign's cache stats.
+    before = profile_cache_stats()
     n_verify_errors = _run_verification(spec, verify)
+    cache_delta = profile_cache_stats() - before
     points = enumerate_points(spec)
     restored = store.restored_points() if store is not None else {}
     pending = [
@@ -834,7 +776,6 @@ def run_campaign(
 
     results: dict[int, list[TimingRecord]] = {}
     counters: dict[str, float] = {}
-    cache_delta = CacheStats()
     n_oom = 0
     start = time.perf_counter()
     if workers > 1 and pending:
@@ -863,11 +804,11 @@ def run_campaign(
         # The batchable clean components are amortised via the grid cache,
         # not by batching points.
         for index, point in pending:
-            before = engine_cache_stats()
+            before = profile_cache_stats()
             records, point_delta, gate = _measure_point(  # repro-lint: disable=PERF006
                 spec, point, grid_cache=grid_cache
             )
-            cache_delta += engine_cache_stats() - before
+            cache_delta += profile_cache_stats() - before
             results[index] = records
             merge_counters(counters, point_delta)
             n_oom += gate == "oom"

@@ -112,13 +112,17 @@ class LRUCache(Generic[K, V]):
         # insert simply overwrites with an identical (deterministically
         # built) value, so the stale membership check is benign.
         value = compute()
+        self.put(key, value)
+        return value
+
+    def put(self, key: K, value: V) -> None:
+        """Store ``value``, replacing any entry; counts no lookup."""
         with self._lock:
-            self._data[key] = value  # repro-lint: disable=CON005
+            self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 self._evictions += 1
-        return value
 
     def clear(self) -> None:
         """Drop all entries; counters keep accumulating across clears."""

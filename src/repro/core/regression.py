@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls as _scipy_nnls
 
 
 class ExtrapolationWarning(RuntimeWarning):
@@ -205,7 +204,12 @@ class LinearModel:
         if self.method == "ols":
             coef_s, *_ = np.linalg.lstsq(Xs, yw, rcond=None)
         elif self.method == "nnls":
-            coef_s, _ = _scipy_nnls(Xs, yw)
+            # Imported here: scipy.optimize takes ~0.5 s to import (2-vCPU
+            # x86 host), and no default command (OLS fits, campaigns,
+            # serving) needs it.
+            from scipy.optimize import nnls
+
+            coef_s, _ = nnls(Xs, yw)
         else:
             raise ValueError(f"unknown method {self.method!r}")
         self.coef = coef_s / scale

@@ -43,6 +43,7 @@ class ComputeGraph:
         self._nodes: dict[str, Node] = {}
         self._order: list[str] = []
         self._fingerprint: str | None = None
+        self._consumers: dict[str, list[Node]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -58,6 +59,7 @@ class ComputeGraph:
         self._nodes[node.name] = node
         self._order.append(node.name)
         self._fingerprint = None
+        self._consumers = None
 
     def fingerprint(self) -> str:
         """Stable content hash of the graph: name, node order, layer
@@ -129,7 +131,20 @@ class ComputeGraph:
         return [self._nodes[p].output_shape for p in node.inputs]
 
     def successors(self, name: str) -> list[Node]:
-        return [n for n in self if name in n.inputs]
+        """Nodes that read ``name``, in graph order, each listed once.
+
+        Served from a consumer index built on the first query and dropped
+        by :meth:`add_node`, so the repeated queries of the passes, the
+        verifier and :meth:`topological_order` cost a lookup each instead
+        of a scan over every node.
+        """
+        if self._consumers is None:
+            consumers: dict[str, list[Node]] = {}
+            for node in self:
+                for parent in dict.fromkeys(node.inputs):
+                    consumers.setdefault(parent, []).append(node)
+            self._consumers = consumers
+        return list(self._consumers.get(name, ()))
 
     # -- traversals --------------------------------------------------------
 

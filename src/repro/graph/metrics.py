@@ -63,6 +63,22 @@ class CostSummary:
     #: Total activation elements across all layers (memory-footprint input).
     total_output_elems: int
 
+    @staticmethod
+    def from_costs(costs: list[LayerCost]) -> "CostSummary":
+        """Aggregate per-layer costs (see :func:`graph_costs`).
+
+        Input placeholders own no parameters, so summing over the costed
+        layers gives the graph's full Weights and Layers counts.
+        """
+        return CostSummary(
+            flops=sum(c.flops for c in costs),
+            conv_input_elems=sum(c.input_elems for c in costs if c.is_conv),
+            conv_output_elems=sum(c.output_elems for c in costs if c.is_conv),
+            weights=sum(c.params for c in costs),
+            layers=sum(1 for c in costs if c.params > 0),
+            total_output_elems=sum(c.output_elems for c in costs),
+        )
+
     def at_batch(self, batch: int) -> "CostSummary":
         """Metric vector for a mini-batch of ``batch`` samples.
 
@@ -128,12 +144,4 @@ def graph_costs(graph: ComputeGraph) -> list[LayerCost]:
 
 def summarize_costs(graph: ComputeGraph) -> CostSummary:
     """Aggregate a graph's per-layer costs into ConvMeter's metric vector."""
-    costs = graph_costs(graph)
-    return CostSummary(
-        flops=sum(c.flops for c in costs),
-        conv_input_elems=sum(c.input_elems for c in costs if c.is_conv),
-        conv_output_elems=sum(c.output_elems for c in costs if c.is_conv),
-        weights=graph.parameter_count(),
-        layers=graph.parametric_layer_count(),
-        total_output_elems=sum(c.output_elems for c in costs),
-    )
+    return CostSummary.from_costs(graph_costs(graph))

@@ -3,7 +3,9 @@
 A graph is compiled once into a :class:`CostProfile` — flat numpy arrays of
 per-layer FLOPs, activation traffic, parameters, and an efficiency class —
 after which timing any (batch, device, phase) combination is a handful of
-vectorised array expressions.  This is the hot path of the measurement
+vectorised array expressions.  For zoo models and Table 2 blocks,
+:func:`compile_graph` is that one compile step: it builds the graph,
+costs it once, and (on request) verifies the very numbers it hands out.  This is the hot path of the measurement
 campaign (thousands of configurations × hundreds of layers), so it follows
 the usual scientific-Python discipline: no per-layer Python loops after
 profiling.
@@ -29,8 +31,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.caching import CacheStats, LRUCache
+from repro.diagnostics import Diagnostic, sort_diagnostics
 from repro.graph.graph import ComputeGraph
-from repro.graph.metrics import LayerCost, graph_costs
+from repro.graph.metrics import CostSummary, LayerCost, graph_costs
 from repro.hardware.device import DeviceSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -236,16 +239,126 @@ def layer_times(
     return np.maximum(compute_t, memory_t) + device.launch_overhead
 
 
-#: Campaign-scoped profile cache: explicitly bounded (a full sweep touches
-#: |models| × |image sizes| ≈ 100 entries, at most doubled by a fused
-#: variant per pipeline; 512 leaves headroom for what-if sweeps without
-#: letting memory grow with campaign length) and observable, so campaigns
-#: can report the hit rate they achieved.  Keyed by
-#: ``(model, image_size, pipeline fingerprint)`` — the empty string marks
-#: the raw, untransformed profile.
-PROFILE_CACHE: LRUCache[tuple[str, int, str], CostProfile] = LRUCache(
+@dataclass(frozen=True)
+class CompiledGraph:
+    """A zoo model or block, built once and costed once.
+
+    ``profile`` holds the per-layer costs of the measured graph (the
+    pipeline's output when one was applied); verification checks the
+    metric summary of those same costs, so what a campaign verifies is
+    exactly what it measures.  The graph itself is not kept: everything
+    downstream needs only these arrays and verdicts.
+    """
+
+    profile: CostProfile
+    #: IR001–IR008 findings (:mod:`repro.analysis.verify`): the raw graph's
+    #: with IR007 included, plus — under a pipeline, where IR007 is moot —
+    #: the transformed graph's and the IR008 preservation pair.  ``None``
+    #: until compiled with ``verify=True``.  IR009 depends on the caller's
+    #: smallest batch, so it is left to the caller (see ``raw_profile``).
+    findings: tuple[Diagnostic, ...] | None = None
+    #: Profile of the untransformed graph, IR009's subject; set together
+    #: with ``findings`` (``profile`` itself when no pipeline ran).
+    raw_profile: CostProfile | None = None
+
+
+#: The one cache of compiled graphs: explicitly bounded (a full sweep
+#: touches |models| × |image sizes| ≈ 100 entries, at most doubled by a
+#: fused variant per pipeline, plus the block catalogue; 512 leaves
+#: headroom for what-if sweeps without letting memory grow with campaign
+#: length) and observable, so campaigns can report the hit rate they
+#: achieved.  Keyed by ``(kind, name, image_size, pipeline fingerprint)``
+#: with kind ``"model"`` or ``"block"``; the empty fingerprint marks the
+#: raw, untransformed graph.
+COMPILE_CACHE: LRUCache[tuple[str, str, int, str], CompiledGraph] = LRUCache(
     maxsize=512
 )
+
+
+def _build_graph(kind: str, name: str, image_size: int) -> ComputeGraph:
+    if kind == "block":
+        from repro.zoo.blocks import BLOCK_CATALOGUE, build_block
+
+        for spec in BLOCK_CATALOGUE:
+            if spec.name == name:
+                return build_block(spec, image_size)
+        raise KeyError(f"unknown block {name!r}")
+    from repro.zoo import build_model
+
+    return build_model(name, image_size)
+
+
+def _compile(
+    kind: str,
+    name: str,
+    image_size: int,
+    pipeline: "PassPipeline | None",
+    verify: bool,
+) -> CompiledGraph:
+    graph = _build_graph(kind, name, image_size)
+    measured = graph if pipeline is None else pipeline.run(graph).graph
+    costs = graph_costs(measured)
+    profile = CostProfile.from_costs(measured.name, costs)
+    if not verify:
+        return CompiledGraph(profile)
+    # Imported lazily: repro.analysis pulls in repro.core, which imports
+    # the campaign records module — a cycle at module-import time.
+    from repro.analysis.verify import verify_graph, verify_transform
+
+    summary = CostSummary.from_costs(costs)
+    if pipeline is None:
+        findings = verify_graph(
+            graph, summary, ignore=("IR009",), profile=profile
+        )
+        return CompiledGraph(profile, tuple(findings), profile)
+    # Both halves of the transform contract: the rewritten graph is itself
+    # a well-formed IR, and the rewrite preserved the semantics.
+    raw_costs = graph_costs(graph)
+    raw_profile = CostProfile.from_costs(graph.name, raw_costs)
+    findings = verify_graph(
+        graph, CostSummary.from_costs(raw_costs),
+        ignore=("IR007", "IR009"), profile=raw_profile,
+    )
+    findings += verify_graph(
+        measured, summary, ignore=("IR007", "IR009"), profile=profile
+    )
+    findings += verify_transform(graph, measured)
+    return CompiledGraph(
+        profile, tuple(sort_diagnostics(findings)), raw_profile
+    )
+
+
+def compile_graph(
+    kind: str,
+    name: str,
+    image_size: int,
+    pipeline: "PassPipeline | None" = None,
+    verify: bool = False,
+) -> CompiledGraph:
+    """Build, transform, cost and optionally verify a graph — once.
+
+    ``kind`` is ``"model"`` (a zoo architecture) or ``"block"`` (a Table 2
+    block at its parent's image size).  The result is memoised in
+    :data:`COMPILE_CACHE`; ``verify=True`` also runs the IR rules over the
+    graph with the summary and profile just derived, so IR004 checks the
+    numbers the sweep will measure.  An entry compiled earlier without
+    verification is compiled again, verified, and replaces it.
+    """
+    key = (
+        kind,
+        name,
+        image_size,
+        "" if pipeline is None else pipeline.fingerprint(),
+    )
+    compiled = COMPILE_CACHE.get_or_compute(
+        key, lambda: _compile(kind, name, image_size, pipeline, verify)
+    )
+    if verify and compiled.findings is None:
+        # Profiled earlier without verification and the graph is gone:
+        # verifying means building it once more.
+        compiled = _compile(kind, name, image_size, pipeline, True)
+        COMPILE_CACHE.put(key, compiled)
+    return compiled
 
 
 def zoo_profile(
@@ -256,21 +369,12 @@ def zoo_profile(
     """Cached profile of a zoo model — the campaign's workhorse lookup.
 
     ``pipeline`` selects a graph transformation applied before costing;
-    fused and raw profiles live side by side in the cache under distinct
-    fingerprints, so mixed raw/fused sweeps never collide.
+    fused and raw profiles live side by side in :data:`COMPILE_CACHE`
+    under distinct fingerprints, so mixed raw/fused sweeps never collide.
     """
-    fingerprint = "" if pipeline is None else pipeline.fingerprint()
-
-    def build() -> CostProfile:
-        from repro.zoo import build_model
-
-        return profile_graph(build_model(model, image_size), pipeline)
-
-    return PROFILE_CACHE.get_or_compute(
-        (model, image_size, fingerprint), build
-    )
+    return compile_graph("model", model, image_size, pipeline).profile
 
 
 def profile_cache_stats() -> CacheStats:
-    """Cumulative hit/miss/eviction counters of the zoo profile cache."""
-    return PROFILE_CACHE.stats()
+    """Cumulative hit/miss/eviction counters of :data:`COMPILE_CACHE`."""
+    return COMPILE_CACHE.stats()

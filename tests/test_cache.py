@@ -3,14 +3,10 @@ caches the campaign engine relies on staying bounded on large sweeps."""
 
 import pytest
 
-from repro.benchdata.engine import (
-    BLOCK_PROFILE_CACHE,
-    block_profile,
-    engine_cache_stats,
-)
+from repro.benchdata.engine import block_profile
 from repro.caching import CacheStats, LRUCache
 from repro.hardware.roofline import (
-    PROFILE_CACHE,
+    COMPILE_CACHE,
     profile_cache_stats,
     zoo_profile,
 )
@@ -63,6 +59,16 @@ class TestLRUCache:
         with pytest.raises(ValueError, match="maxsize"):
             LRUCache(maxsize=0)
 
+    def test_put_replaces_without_counting_a_lookup(self):
+        cache = LRUCache(maxsize=2)
+        cache.get_or_compute("a", lambda: 1)
+        cache.put("a", 2)
+        cache.put("b", 3)
+        cache.put("c", 4)  # evicts "a", the least recently stored
+        assert "a" not in cache
+        assert cache.get_or_compute("c", lambda: 0) == 4
+        assert cache.stats() == CacheStats(hits=1, misses=1, evictions=1)
+
 
 class TestCacheStats:
     def test_add_and_subtract(self):
@@ -89,23 +95,19 @@ class TestProfileCaches:
         assert delta.hits >= 1
 
     def test_zoo_profile_cache_is_bounded(self):
-        assert PROFILE_CACHE.maxsize == 512
-        assert len(PROFILE_CACHE) <= PROFILE_CACHE.maxsize
+        assert COMPILE_CACHE.maxsize == 512
+        assert len(COMPILE_CACHE) <= COMPILE_CACHE.maxsize
 
     def test_block_profile_is_memoised_and_bounded(self):
-        before = BLOCK_PROFILE_CACHE.stats()
+        # Blocks share the zoo models' compile cache (and its bound).
+        before = profile_cache_stats()
         first = block_profile("MBConv", 96)
         second = block_profile("MBConv", 96)
-        delta = BLOCK_PROFILE_CACHE.stats() - before
+        delta = profile_cache_stats() - before
         assert second is first
         assert delta.hits >= 1
-        assert BLOCK_PROFILE_CACHE.maxsize == 256
+        assert ("block", "MBConv", 96, "") in COMPILE_CACHE
 
     def test_unknown_block_rejected(self):
         with pytest.raises(KeyError, match="unknown block"):
             block_profile("NoSuchBlock", 64)
-
-    def test_engine_cache_stats_aggregates_both(self):
-        combined = engine_cache_stats()
-        parts = profile_cache_stats() + BLOCK_PROFILE_CACHE.stats()
-        assert combined == parts

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import ComputeGraph, Node, check_same_topology, sequential_shapes
-from repro.graph.layers import Activation, Conv2d, Input
+from repro.graph.layers import Activation, Add, Conv2d, Input
 from repro.graph.metrics import graph_costs, node_cost, summarize_costs
 from repro.graph.tensor import TensorShape
 
@@ -57,6 +57,24 @@ class TestComputeGraph:
         succ = g.successors(first.name)
         assert len(succ) == 1
         assert isinstance(succ[0].layer, Conv2d)
+
+    def test_successor_index_matches_scan_and_follows_add_node(self):
+        # resnet18 has fan-out (residual forks) and fan-in (Add); the
+        # index must list consumers exactly as a scan over the nodes did.
+        from repro.zoo import build_model
+
+        g = build_model("resnet18", 64)
+        for node in g:
+            scan = [n for n in g if node.name in n.inputs]
+            assert g.successors(node.name) == scan
+        shape = TensorShape(3, 4, 4)
+        h = ComputeGraph("h")
+        h.add_node(Node("in", Input(shape), (), shape))
+        h.add_node(Node("sum", Add(), ("in", "in"), shape))
+        assert [n.name for n in h.successors("in")] == ["sum"]  # once
+        assert h.successors("sum") == []
+        h.add_node(Node("relu", Activation("relu"), ("sum",), shape))
+        assert [n.name for n in h.successors("sum")] == ["relu"]
 
     def test_contains_and_node_lookup(self):
         g = _linear_chain()

@@ -978,13 +978,9 @@ class TestTriageByteIdentity:
 
     def test_campaign_grid_cache_records_identical(self):
         from repro.benchdata import CampaignSpec, run_campaign
-        from repro.benchdata.engine import (
-            BLOCK_PROFILE_CACHE,
-            CLEAN_TIME_CACHE,
-            VERIFY_CACHE,
-        )
+        from repro.benchdata.engine import CLEAN_TIME_CACHE
         from repro.hardware.device import get_device
-        from repro.hardware.roofline import PROFILE_CACHE
+        from repro.hardware.roofline import COMPILE_CACHE
 
         spec = CampaignSpec(
             scenario="training",
@@ -996,10 +992,7 @@ class TestTriageByteIdentity:
         )
 
         def cold_run(grid_cache):
-            for cache in (
-                PROFILE_CACHE, BLOCK_PROFILE_CACHE, CLEAN_TIME_CACHE,
-                VERIFY_CACHE,
-            ):
+            for cache in (COMPILE_CACHE, CLEAN_TIME_CACHE):
                 cache.clear()
             return run_campaign(spec, verify="off", grid_cache=grid_cache)
 

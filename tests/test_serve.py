@@ -658,6 +658,40 @@ class TestConcurrency:
         ) == float(total)
 
 
+# -- transport ---------------------------------------------------------------
+
+
+class TestKeepAliveTransport:
+    REQUESTS = 20
+
+    def test_sequential_keep_alive_requests_do_not_stall(self, server):
+        # A response written as two segments (headers, then body) waits
+        # for the client's delayed ACK under Nagle's algorithm: ~40 ms
+        # each, >= 0.8 s for 20 requests.  Without the stall they take a
+        # few milliseconds in all.
+        import time
+
+        host, port = server.server_address[:2]
+        body = json.dumps(
+            {"network": "resnet18", "image": 128, "batch": 16}
+        ).encode()
+        headers = {"Content-Type": "application/json"}
+        conn = HTTPConnection(host, port)
+        try:
+            conn.request("POST", "/predict", body=body, headers=headers)
+            conn.getresponse().read()  # warm the feature cache
+            start = time.perf_counter()
+            for _ in range(self.REQUESTS):
+                conn.request("POST", "/predict", body=body, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.5, f"{self.REQUESTS} requests took {elapsed:.2f}s"
+
+
 # -- hot reload --------------------------------------------------------------
 
 
