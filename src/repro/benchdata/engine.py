@@ -47,7 +47,7 @@ from repro.benchdata.records import ConvNetFeatures, Dataset, TimingRecord
 from repro.caching import CacheStats, LRUCache
 from repro.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.distributed.cluster import ClusterSpec
-from repro.distributed.trainer import DistributedTrainer
+from repro.distributed.trainer import DistributedTrainer, StepPlan
 from repro.hardware.device import DeviceSpec
 from repro.hardware.executor import (
     SimulatedExecutor,
@@ -85,10 +85,11 @@ def block_profile(block_name: str, image_size: int) -> CostProfile:
 #: One entry holds the whole batch sweep of a ``(model, image_size)`` pair,
 #: computed from a single batched roofline evaluation per phase — so a
 #: campaign pays the per-layer arithmetic once per model, not once per
-#: point.
+#: point.  Inference and training cells are clean-time tuples; distributed
+#: cells are :class:`PlannedBatch` es, shared by every node count.
 CLEAN_TIME_CACHE: LRUCache[
     tuple[str, str, str, str, str, int, tuple[int, ...]],
-    dict[int, tuple[float, ...]],
+    "dict[int, tuple[float, ...] | PlannedBatch]",
 ] = LRUCache(maxsize=512)
 
 
@@ -106,9 +107,47 @@ def _spec_backend(spec: CampaignSpec):
     return get_backend(spec.backend, spec.device)
 
 
+@dataclass(frozen=True)
+class PlannedBatch:
+    """Grid cell of a distributed campaign: what a point at one batch needs
+    that does not depend on its node count."""
+
+    plan: StepPlan
+    features: ConvNetFeatures
+    #: :func:`point_counters` without the all-reduce volume.
+    counters: dict[str, float]
+    #: All-reduce volume of one step, counted when more than one rank runs.
+    grad_bytes: float
+
+    def point_counters(self, ranks: int) -> dict[str, float]:
+        return _with_allreduce(self.counters, ranks, self.grad_bytes)
+
+
+def _plan_grid(
+    spec: CampaignSpec, profile: CostProfile
+) -> dict[int, PlannedBatch]:
+    # Plans depend on the node device types, not the node count: one
+    # single-node trainer plans the steps of every cluster in the sweep.
+    cluster = ClusterSpec(
+        nodes=1, gpus_per_node=spec.gpus_per_node, device=spec.device
+    )
+    trainer = DistributedTrainer(
+        cluster, seed=spec.seed, backend=_spec_backend(spec)
+    )
+    plans = trainer.plan_steps(profile, spec.batch_sizes)
+    features = ConvNetFeatures.from_profile(profile)
+    grad_bytes = _grad_bytes(spec, profile)
+    return {
+        batch: PlannedBatch(
+            plan, features, _work_counters(spec, profile, batch), grad_bytes
+        )
+        for batch, plan in plans.items()
+    }
+
+
 def _clean_time_grid(
     spec: CampaignSpec, point: SweepPoint, profile: CostProfile
-) -> dict[int, tuple[float, ...]]:
+) -> "dict[int, tuple[float, ...] | PlannedBatch]":
     """Cached clean-time components for every batch in the spec's sweep."""
     key = (
         spec.device.name,
@@ -120,7 +159,9 @@ def _clean_time_grid(
         spec.batch_sizes,
     )
 
-    def build() -> dict[int, tuple[float, ...]]:
+    def build() -> "dict[int, tuple[float, ...] | PlannedBatch]":
+        if spec.scenario == "distributed":
+            return _plan_grid(spec, profile)
         executor = SimulatedExecutor(
             spec.device, seed=spec.seed, backend=_spec_backend(spec)
         )
@@ -287,7 +328,9 @@ def enumerate_points(spec: CampaignSpec) -> list[SweepPoint]:
 VERIFY_MODES = ("off", "warn", "strict")
 
 
-def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
+def verify_campaign_graphs(
+    spec: CampaignSpec, points: list[SweepPoint] | None = None
+) -> list[Diagnostic]:
     """Compile and verify every unique graph a campaign will measure.
 
     Each unique ``(model, image_size)`` graph is built, transformed and
@@ -303,6 +346,7 @@ def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
     x86 host, CPython 3.11) the step takes ~0.6 s, builds and costing
     included, and is most of the campaign's compute — the sweep that
     follows reads every profile from the cache and runs in ~0.12 s.
+    ``points`` is the spec's enumeration when the caller already has it.
     """
     # Imported lazily: repro.analysis pulls in repro.core, which imports
     # this package's records module — a cycle at module-import time.
@@ -316,7 +360,7 @@ def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
 
         pipeline = resolve_transform(spec.transform)
     unique: dict[tuple[str, int], None] = {}
-    for point in enumerate_points(spec):
+    for point in enumerate_points(spec) if points is None else points:
         unique.setdefault((point.model, point.image_size), None)
     edge_batch = min(spec.batch_sizes)
     found: list[Diagnostic] = []
@@ -333,7 +377,9 @@ def verify_campaign_graphs(spec: CampaignSpec) -> list[Diagnostic]:
     return sort_diagnostics(found)
 
 
-def _run_verification(spec: CampaignSpec, verify: str) -> int:
+def _run_verification(
+    spec: CampaignSpec, verify: str, points: list[SweepPoint]
+) -> int:
     """Apply the requested verify mode; returns the ERROR count."""
     if verify not in VERIFY_MODES:
         raise ValueError(
@@ -341,7 +387,7 @@ def _run_verification(spec: CampaignSpec, verify: str) -> int:
         )
     if verify == "off":
         return 0
-    diags = verify_campaign_graphs(spec)
+    diags = verify_campaign_graphs(spec, points)
     errors = [d for d in diags if d.severity is Severity.ERROR]
     if errors:
         if verify == "strict":
@@ -409,19 +455,11 @@ def _gated(
     return "budget" if estimate > spec.max_seconds else ""
 
 
-def point_counters(
-    spec: CampaignSpec, point: SweepPoint, profile: CostProfile
+def _work_counters(
+    spec: CampaignSpec, profile: CostProfile, batch: int
 ) -> dict[str, float]:
-    """Analytic work counters of one measured point (per-rank quantities).
-
-    Always on — a handful of vectorised sums per point, independent of
-    tracing — so campaign stats and store manifests are identical whether
-    or not a trace was requested.  Mirrors the accounting the span layer
-    records: forward work for inference, plus backward/optimizer work for
-    training scenarios, plus all-reduce volume when more than one rank
-    participates.
-    """
-    b = float(point.batch)
+    """FLOPs and bytes of one point's phases (all but the all-reduce)."""
+    b = float(batch)
     act = float(profile.act_bytes.sum())
     weights = float(profile.weight_bytes.sum())
     flops = float(profile.flops.sum()) * b
@@ -435,17 +473,45 @@ def point_counters(
         params = float(profile.param_counts.sum())
         flops += _OPT_FLOPS_PER_PARAM * params
         nbytes += _OPT_BYTES_PER_PARAM * params
-    counters = {"flops": flops, "bytes": nbytes}
-    if spec.scenario == "distributed":
-        ranks = point.nodes * spec.gpus_per_node
-        backend = _spec_backend(spec)
-        grad_elem_bytes = 4.0 if backend is None else backend.float_bytes
-        grad_bytes = grad_elem_bytes * float(
-            profile.param_counts[profile.has_params].sum()
-        )
-        if ranks > 1 and grad_bytes > 0.0:
-            counters["allreduce_bytes"] = grad_bytes
+    return {"flops": flops, "bytes": nbytes}
+
+
+def _grad_bytes(spec: CampaignSpec, profile: CostProfile) -> float:
+    """Gradient payload one rank all-reduces per step."""
+    backend = _spec_backend(spec)
+    grad_elem_bytes = 4.0 if backend is None else backend.float_bytes
+    return grad_elem_bytes * float(
+        profile.param_counts[profile.has_params].sum()
+    )
+
+
+def _with_allreduce(
+    counters: dict[str, float], ranks: int, grad_bytes: float
+) -> dict[str, float]:
+    counters = dict(counters)
+    if ranks > 1 and grad_bytes > 0.0:
+        counters["allreduce_bytes"] = grad_bytes
     return counters
+
+
+def point_counters(
+    spec: CampaignSpec, point: SweepPoint, profile: CostProfile
+) -> dict[str, float]:
+    """Analytic work counters of one measured point (per-rank quantities).
+
+    Always on — a handful of vectorised sums per point, independent of
+    tracing — so campaign stats and store manifests are identical whether
+    or not a trace was requested.  Mirrors the accounting the span layer
+    records: forward work for inference, plus backward/optimizer work for
+    training scenarios, plus all-reduce volume when more than one rank
+    participates.
+    """
+    counters = _work_counters(spec, profile, point.batch)
+    if spec.scenario != "distributed":
+        return counters
+    return _with_allreduce(
+        counters, point.nodes * spec.gpus_per_node, _grad_bytes(spec, profile)
+    )
 
 
 def _measure_point(
@@ -464,23 +530,34 @@ def _measure_point(
     spans the executor and trainer emit; the recorded values are identical
     either way.
 
-    ``grid_cache`` (the default) sources the deterministic clean-time
-    components from :data:`CLEAN_TIME_CACHE` — one batched roofline
-    evaluation per ``(model, image_size)`` instead of one per point — and
-    skips the redundant memory re-check (gating already proved the fit).
-    Records are bit-identical either way; ``grid_cache=False`` exists so
-    the perf-trajectory benchmark can measure the ungridded baseline and
-    the equivalence suite can prove the identity.
+    ``grid_cache`` (the default) sources the deterministic components from
+    :data:`CLEAN_TIME_CACHE` — one batched roofline evaluation per
+    ``(model, image_size)`` instead of one per point; for a distributed
+    point that is the batch's step plan, features and work counters,
+    shared by every node count — and skips the redundant memory re-check
+    (gating already proved the fit).  Records and counters are
+    bit-identical either way; ``grid_cache=False`` exists so the
+    perf-trajectory benchmark can measure the ungridded baseline and the
+    equivalence suite can prove the identity.
     """
     profile = _point_profile(spec, point)
     clean: tuple[float, ...] | None = None
-    if grid_cache and spec.scenario != "distributed":
-        clean = _clean_time_grid(spec, point, profile).get(point.batch)
+    planned: PlannedBatch | None = None
+    if grid_cache:
+        cell = _clean_time_grid(spec, point, profile).get(point.batch)
+        if isinstance(cell, PlannedBatch):
+            planned = cell
+        else:
+            clean = cell
     gate = _gated(spec, point, profile, clean)
     if gate:
         return [], {}, gate
     backend = _spec_backend(spec)
-    features = ConvNetFeatures.from_profile(profile)
+    features = (
+        ConvNetFeatures.from_profile(profile)
+        if planned is None
+        else planned.features
+    )
     tracing = tracer is not None and tracer.enabled
     if tracing:
         tracer.begin(
@@ -559,7 +636,12 @@ def _measure_point(
         )
         trainer = DistributedTrainer(cluster, seed=spec.seed, backend=backend)
         phases = trainer.measure_step(
-            profile, point.batch, rep=point.rep, tracer=tracer
+            profile,
+            point.batch,
+            rep=point.rep,
+            enforce_memory=planned is None,
+            tracer=tracer,
+            plan=None if planned is None else planned.plan,
         )
         records = [
             TimingRecord(
@@ -581,6 +663,9 @@ def _measure_point(
 
     if tracing:
         tracer.end()
+    if planned is not None:
+        ranks = point.nodes * spec.gpus_per_node
+        return records, planned.point_counters(ranks), ""
     return records, point_counters(spec, point, profile), ""
 
 
@@ -759,16 +844,19 @@ def run_campaign(
     for any ``workers`` value and any resume split.
 
     ``grid_cache`` (the default) amortises the deterministic clean-time
-    components across the sweep through :data:`CLEAN_TIME_CACHE`; the
-    record stream is bit-identical with it off, just slower — the switch
-    exists for the perf-trajectory baseline and the equivalence tests.
+    components across the sweep through :data:`CLEAN_TIME_CACHE` — for
+    every scenario, a distributed sweep's step plans included, so each
+    ``(model, image_size)`` pays them once across all its batches and node
+    counts; the record stream is bit-identical with it off, just slower —
+    the switch exists for the perf-trajectory baseline and the equivalence
+    tests.
     """
     # The compile step inside verification is where each unique graph
     # misses; its lookups count toward the campaign's cache stats.
-    before = profile_cache_stats()
-    n_verify_errors = _run_verification(spec, verify)
-    cache_delta = profile_cache_stats() - before
     points = enumerate_points(spec)
+    before = profile_cache_stats()
+    n_verify_errors = _run_verification(spec, verify, points)
+    cache_delta = profile_cache_stats() - before
     restored = store.restored_points() if store is not None else {}
     pending = [
         (i, p) for i, p in enumerate(points) if p.key not in restored

@@ -10,7 +10,7 @@ protocol a pure dataset operation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -75,9 +75,35 @@ class TimingRecord:
         return self.global_batch / self.t_total
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if not d["backend"]:
-            del d["backend"]
+        """Field-order dict of the record, ``backend`` omitted when unset.
+
+        Built field by field rather than with :func:`dataclasses.asdict`,
+        whose recursive deep copy dominated store appends and dataset
+        writes; every field is an immutable scalar, so nothing is shared.
+        """
+        f = self.features
+        d = {
+            "model": self.model,
+            "device": self.device,
+            "image_size": self.image_size,
+            "batch": self.batch,
+            "nodes": self.nodes,
+            "devices": self.devices,
+            "scenario": self.scenario,
+            "features": {
+                "flops": f.flops,
+                "inputs": f.inputs,
+                "outputs": f.outputs,
+                "weights": f.weights,
+                "layers": f.layers,
+            },
+            "t_fwd": self.t_fwd,
+            "t_bwd": self.t_bwd,
+            "t_grad": self.t_grad,
+            "rep": self.rep,
+        }
+        if self.backend:
+            d["backend"] = self.backend
         return d
 
     @staticmethod

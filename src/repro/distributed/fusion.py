@@ -3,9 +3,11 @@
 Horovod coalesces gradient tensors into a fusion buffer and launches one
 all-reduce per filled buffer instead of one per tensor, letting
 communication start *during* the backward pass (the paper's Section 3.2
-"tensor fusion" optimisation).  ``fuse_tensors`` reproduces the greedy
+"tensor fusion" optimisation).  ``fusion_layout`` reproduces the greedy
 behaviour: tensors are appended in backward completion order and a bucket is
-flushed once it reaches the threshold.
+flushed once it reaches the threshold.  The layout depends on tensor sizes
+only, so a trainer computes it once per model; ``fuse_tensors`` attaches
+each bucket's ready time for one particular backward sweep.
 """
 
 from __future__ import annotations
@@ -28,46 +30,69 @@ class FusionBucket:
     ready_time: float
 
 
+@dataclass(frozen=True)
+class BucketLayout:
+    """Which tensors one fused all-reduce carries — the size-only part of a
+    :class:`FusionBucket`, fixed for a given model and threshold."""
+
+    #: Indices (into the submission order) of the tensors in this bucket.
+    tensor_indices: tuple[int, ...]
+    #: Total payload, bytes.
+    nbytes: float
+
+    @property
+    def last(self) -> int:
+        """Index of the last member, the one submitted latest."""
+        return self.tensor_indices[-1]
+
+
+def fusion_layout(
+    sizes_bytes: list[float], threshold: float = DEFAULT_FUSION_THRESHOLD
+) -> list[BucketLayout]:
+    """Greedily pack tensors (in submission order) into fusion buckets.
+
+    ``sizes_bytes[i]`` is the payload of the i-th gradient tensor in
+    backward completion order.  A bucket is flushed when adding the next
+    tensor would leave it at or above the threshold; a final partial bucket
+    is flushed at the end.  A single tensor larger than the threshold gets
+    its own bucket (Horovod behaviour).  A threshold ``<= 0`` disables
+    fusion: one bucket per tensor.
+    """
+    if threshold <= 0:
+        return [BucketLayout((i,), float(s)) for i, s in enumerate(sizes_bytes)]
+
+    buckets: list[BucketLayout] = []
+    current: list[int] = []
+    current_bytes = 0.0
+    for i, size in enumerate(sizes_bytes):
+        current.append(i)
+        current_bytes += float(size)
+        if current_bytes >= threshold:
+            buckets.append(BucketLayout(tuple(current), current_bytes))
+            current, current_bytes = [], 0.0
+    if current:
+        buckets.append(BucketLayout(tuple(current), current_bytes))
+    return buckets
+
+
 def fuse_tensors(
     sizes_bytes: list[float],
     ready_times: list[float],
     threshold: float = DEFAULT_FUSION_THRESHOLD,
 ) -> list[FusionBucket]:
-    """Greedily pack tensors (in submission order) into fusion buckets.
+    """:func:`fusion_layout` with each bucket's ready time attached.
 
-    ``sizes_bytes[i]`` and ``ready_times[i]`` describe the i-th gradient
-    tensor in backward completion order.  A bucket is flushed when adding
-    the next tensor would leave it at or above the threshold; a final
-    partial bucket is flushed at the end.  A single tensor larger than the
-    threshold gets its own bucket (Horovod behaviour).
+    ``ready_times[i]`` is when the i-th tensor became available; a bucket
+    is ready when its latest member is (with fusion on, never before 0).
     """
     if len(sizes_bytes) != len(ready_times):
         raise ValueError("sizes and ready_times must have equal length")
-    if threshold <= 0:
-        # Fusion disabled: one bucket per tensor.
-        return [
-            FusionBucket((i,), float(s), float(t))
-            for i, (s, t) in enumerate(zip(sizes_bytes, ready_times))
-        ]
-
-    buckets: list[FusionBucket] = []
-    current: list[int] = []
-    current_bytes = 0.0
-    current_ready = 0.0
-
-    def flush() -> None:
-        nonlocal current, current_bytes, current_ready
-        if current:
-            buckets.append(
-                FusionBucket(tuple(current), current_bytes, current_ready)
-            )
-            current, current_bytes, current_ready = [], 0.0, 0.0
-
-    for i, (size, ready) in enumerate(zip(sizes_bytes, ready_times)):
-        current.append(i)
-        current_bytes += float(size)
-        current_ready = max(current_ready, float(ready))
-        if current_bytes >= threshold:
-            flush()
-    flush()
-    return buckets
+    floor = (0.0,) if threshold > 0 else ()
+    return [
+        FusionBucket(
+            b.tensor_indices,
+            b.nbytes,
+            max((*floor, *(float(ready_times[i]) for i in b.tensor_indices))),
+        )
+        for b in fusion_layout(sizes_bytes, threshold)
+    ]

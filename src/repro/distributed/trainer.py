@@ -38,8 +38,9 @@ from repro.distributed.allreduce import (
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.fusion import (
     DEFAULT_FUSION_THRESHOLD,
+    BucketLayout,
     FusionBucket,
-    fuse_tensors,
+    fusion_layout,
 )
 from repro.hardware.backend import ExecutionBackend, RooflineBackend
 from repro.hardware.executor import (
@@ -60,6 +61,40 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 _COORDINATION_BASE = 1.0e-5
 #: Additional negotiation cost per participating rank, seconds.
 _COORDINATION_PER_RANK = 2.0e-6
+
+
+@dataclass(frozen=True, eq=False)
+class BackendStep:
+    """Noise-free step components of one node device type at one batch."""
+
+    #: Clean forward time, base overhead included.
+    forward: float
+    #: Clean per-layer backward times in sweep (reverse topological) order.
+    backward_layers: np.ndarray
+    #: Clean optimizer (Adam) step time.
+    optimizer: float
+
+
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """The noise-free part of one training step at one per-device batch.
+
+    It depends on the model, the batch, the trainer's node device types,
+    backend and fusion threshold, but not on the node count, so one plan
+    serves a whole node sweep.  :meth:`DistributedTrainer.run_step` adds
+    what varies per step: the seeded noise, the backward cumsum, and the
+    all-reduce schedule of the cluster's rank count.
+    """
+
+    batch: int
+    #: One entry per distinct node device type, primary first.
+    backends: tuple[BackendStep, ...]
+    #: Sweep positions of the layers that produce a gradient tensor.
+    grad_positions: np.ndarray
+    #: Fusion buckets over those gradients, in submission order.
+    buckets: tuple[BucketLayout, ...]
+    #: The trainer configuration the plan was built under.
+    config: tuple
 
 
 @dataclass(frozen=True)
@@ -126,6 +161,15 @@ class DistributedTrainer:
             for dev in cluster.distinct_devices()
         )
         self.executor = SimulatedExecutor(seed=seed, backend=self.backend)
+        self._base_overhead = max(
+            b.device.base_overhead for b in self._node_backends
+        )
+        # Everything besides the profile and batch a StepPlan depends on.
+        self._plan_config = (
+            tuple(b.noise_tag for b in self._node_backends),
+            self.backend.float_bytes,
+            fusion_threshold,
+        )
 
     def _all_reduce_time(self, nbytes: float) -> float:
         """Noise-free collective time for one fused bucket."""
@@ -162,6 +206,45 @@ class DistributedTrainer:
 
     # -- timeline ------------------------------------------------------------
 
+    def plan_steps(
+        self, profile: CostProfile, batches: "tuple[int, ...] | list[int]"
+    ) -> dict[int, StepPlan]:
+        """Noise-free step plans for a whole batch sweep, in one shot.
+
+        One batched forward and one batched backward :meth:`layer_times`
+        evaluation per node backend cover every batch (each row is
+        bit-identical to the scalar call, see
+        :meth:`~repro.hardware.backend.ExecutionBackend.clean_time_grids`).
+        """
+        b = np.asarray(batches)
+        grad_mask = profile.has_params[::-1]
+        grad_positions = np.flatnonzero(grad_mask)
+        grad_sizes = (
+            profile.param_counts[::-1][grad_mask] * self.backend.float_bytes
+        ).tolist()
+        buckets = tuple(fusion_layout(grad_sizes, self.fusion_threshold))
+        grids = [
+            (
+                nb.clean_time_grids(profile, batches),
+                nb.backward_layer_times(profile, b)[:, ::-1],
+                nb.grad_update_time_clean(profile),
+            )
+            for nb in self._node_backends
+        ]
+        return {
+            int(n): StepPlan(
+                batch=int(n),
+                backends=tuple(
+                    BackendStep(fwd[int(n)][0], bwd[i], opt)
+                    for fwd, bwd, opt in grids
+                ),
+                grad_positions=grad_positions,
+                buckets=buckets,
+                config=self._plan_config,
+            )
+            for i, n in enumerate(batches)
+        }
+
     def run_step(
         self,
         profile: CostProfile,
@@ -169,8 +252,16 @@ class DistributedTrainer:
         rep: int = 0,
         enforce_memory: bool = True,
         tracer: "Tracer | None" = None,
+        plan: StepPlan | None = None,
     ) -> TrainingStepTrace:
         """Simulate one training step with mini-batch ``per_device_batch``.
+
+        ``plan`` supplies the step's noise-free components (from
+        :meth:`plan_steps` of a trainer with the same node devices, backend
+        and fusion threshold — its node count may differ); without one, the
+        plan for this batch is built here.  Either way the timeline below is
+        the same code, so a planned step is bit-identical to an unplanned
+        one.
 
         With a ``tracer``, emits the step's timeline as spans for one
         representative rank (synchronous data parallelism makes the ranks
@@ -184,6 +275,16 @@ class DistributedTrainer:
         if enforce_memory:
             for b in backends:
                 b.check_fits(profile, per_device_batch, training=True)
+        if plan is None:
+            plan = self.plan_steps(profile, (per_device_batch,))[
+                per_device_batch
+            ]
+        elif plan.batch != per_device_batch or plan.config != self._plan_config:
+            raise ValueError(
+                f"step plan for batch {plan.batch} under {plan.config} does "
+                f"not match batch {per_device_batch} under {self._plan_config}"
+            )
+        steps = tuple(zip(backends, plan.backends))
         n_ranks = self.cluster.total_devices
         name = profile.graph_name
         tracing = tracer is not None and tracer.enabled
@@ -195,13 +296,13 @@ class DistributedTrainer:
         # gradients exist, so the slowest node type sets the phase time.
         fwd = 0.0
         fwd_noise = 1.0
-        for b in backends:
+        for b, step in steps:
             b_noise = self._noise(
                 self._sync_sigma(b.noise_sigma),
                 name, per_device_batch, "fwd", rep,
                 tag=b.noise_tag,
             )
-            b_fwd = b.forward_time_clean(profile, per_device_batch) * b_noise
+            b_fwd = step.forward * b_noise
             if b_fwd >= fwd:
                 fwd, fwd_noise = b_fwd, b_noise
         if tracing:
@@ -213,15 +314,9 @@ class DistributedTrainer:
         # Each layer's gradient is cluster-complete only when the slowest
         # node type finishes that layer, so mixed clusters take the
         # element-wise maximum of the per-device noisy sweeps.
-        flops_factor = self.backend.backward_flops_factor(profile)
         bwd_layer_times = None
-        for b in backends:
-            layer_noisy = b.layer_times(
-                profile,
-                per_device_batch,
-                flops_factor=flops_factor,
-                bytes_factor=_BWD_BYTES_FACTOR,
-            )[::-1] * lognormal_vector(
+        for b, step in steps:
+            layer_noisy = step.backward_layers * lognormal_vector(
                 self._sync_sigma(b.noise_sigma),
                 profile.n_layers,
                 point_seed(
@@ -234,11 +329,11 @@ class DistributedTrainer:
                 else np.maximum(bwd_layer_times, layer_noisy)
             )
         completion = np.cumsum(bwd_layer_times)
-        base_overhead = max(b.device.base_overhead for b in backends)
-        bwd_end = float(completion[-1]) + base_overhead
+        bwd_end = float(completion[-1]) + self._base_overhead
         if tracing:
             from repro.trace.tracer import record_layer_phase
 
+            flops_factor = self.backend.backward_flops_factor(profile)
             record_layer_phase(
                 tracer,
                 "backward",
@@ -253,29 +348,29 @@ class DistributedTrainer:
                 bwd_end,
             )
 
-        # Gradient tensors become ready as their layer's backward completes.
-        grad_mask = profile.has_params[::-1]
-        grad_sizes = (
-            profile.param_counts[::-1][grad_mask] * self.backend.float_bytes
-        ).tolist()
-        grad_ready = completion[grad_mask].tolist()
-
         buckets: list[BucketTrace] = []
         comm_end = bwd_end
-        optimizer_time = max(
-            b.grad_update_time_clean(profile) for b in backends
-        )
+        optimizer_time = max(step.optimizer for step in plan.backends)
 
-        if n_ranks > 1 and grad_sizes:
+        if n_ranks > 1 and plan.buckets:
             link = self.cluster.ring_link
-            fused = fuse_tensors(grad_sizes, grad_ready, self.fusion_threshold)
             # Horovod negotiates each fused all-reduce through its
             # coordinator, a cost that grows with the number of ranks — the
             # physical origin of the paper's c3·N gradient-update term.
             coordination = _COORDINATION_BASE + _COORDINATION_PER_RANK * n_ranks
+            # Gradient tensors become ready as their layer's backward
+            # completes.  Every layer time is positive, so the cumsum never
+            # decreases and a bucket is ready exactly when its last member
+            # is: bit for bit the running maximum over its members that
+            # fuse_tensors takes.
+            grad_ready = completion[plan.grad_positions].tolist()
             comm_cursor = 0.0
-            for i, bucket in enumerate(fused):
-                start = max(bucket.ready_time, comm_cursor)
+            for i, layout in enumerate(plan.buckets):
+                ready = grad_ready[layout.last]
+                bucket = FusionBucket(
+                    layout.tensor_indices, layout.nbytes, ready
+                )
+                start = max(ready, comm_cursor)
                 duration = (
                     self._all_reduce_time(bucket.nbytes) + coordination
                 ) * self._noise(
@@ -290,12 +385,12 @@ class DistributedTrainer:
         # Optimizer barrier: the step ends when the slowest node type has
         # applied its update.
         opt_noisy = max(
-            b.grad_update_time_clean(profile)
+            step.optimizer
             * self._noise(
                 b.noise_sigma, name, per_device_batch, "opt", rep,
                 tag=b.noise_tag,
             )
-            for b in backends
+            for b, step in steps
         )
         grad_phase = exposed_comm + opt_noisy
 
@@ -346,8 +441,10 @@ class DistributedTrainer:
         rep: int = 0,
         enforce_memory: bool = True,
         tracer: "Tracer | None" = None,
+        plan: StepPlan | None = None,
     ) -> PhaseTimes:
         """Phase times only — the record the campaign stores."""
         return self.run_step(
-            profile, per_device_batch, rep, enforce_memory, tracer=tracer
+            profile, per_device_batch, rep, enforce_memory, tracer=tracer,
+            plan=plan,
         ).phases

@@ -167,14 +167,19 @@ class ExecutionBackend:
         times = self.layer_times(profile, batch)
         return float(times.sum()) + self.device.base_overhead
 
-    def backward_time_clean(self, profile: CostProfile, batch: int) -> float:
-        """Deterministic backward-pass time."""
-        times = self.layer_times(
+    def backward_layer_times(self, profile: CostProfile, batch) -> np.ndarray:
+        """Per-layer backward times in topological order; ``batch`` may be
+        an integer array, as for :meth:`layer_times`."""
+        return self.layer_times(
             profile,
             batch,
             flops_factor=self.backward_flops_factor(profile),
             bytes_factor=_BWD_BYTES_FACTOR,
         )
+
+    def backward_time_clean(self, profile: CostProfile, batch: int) -> float:
+        """Deterministic backward-pass time."""
+        times = self.backward_layer_times(profile, batch)
         return float(times.sum()) + self.device.base_overhead
 
     def grad_update_time_clean(self, profile: CostProfile) -> float:
@@ -222,12 +227,7 @@ class ExecutionBackend:
         if not training:
             return {int(n): (t,) for n, t in zip(batches, fwd)}
         bwd = (
-            self.layer_times(
-                profile,
-                b,
-                flops_factor=self.backward_flops_factor(profile),
-                bytes_factor=_BWD_BYTES_FACTOR,
-            ).sum(axis=1)
+            self.backward_layer_times(profile, b).sum(axis=1)
             + self.device.base_overhead
         ).tolist()
         grad = self.grad_update_time_clean(profile)

@@ -23,7 +23,7 @@ import numpy as np
 
 def stable_seed(*parts: object) -> int:
     """64-bit seed derived from a stable hash of the given identity parts."""
-    key = "\x1f".join(repr(p) for p in parts).encode()
+    key = "\x1f".join(map(repr, parts)).encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

@@ -62,6 +62,20 @@ class TestTimingRecord:
         r = _record(t_bwd=0.2)
         assert TimingRecord.from_dict(r.to_dict()) == r
 
+    @pytest.mark.parametrize("backend", ["", "edge"])
+    def test_to_dict_matches_asdict_form(self, backend):
+        import dataclasses
+        import json
+
+        r = _record(t_bwd=0.2, t_grad=1 / 3, rep=2, backend=backend)
+        expected = dataclasses.asdict(r)
+        if not backend:
+            del expected["backend"]
+        got = r.to_dict()
+        assert got == expected
+        assert list(got) == list(expected)
+        assert json.dumps(got) == json.dumps(expected)
+
 
 class TestDataset:
     def _dataset(self) -> Dataset:
