@@ -860,8 +860,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
 
 class _Analyzer:
-    def __init__(self, parse_rule: str = "CON000") -> None:
-        self.parse_rule = parse_rule
+    def __init__(self) -> None:
         self.modules: dict[str, _ModuleInfo] = {}
         self.class_index: dict[str, _ClassInfo] = {}
         self.funcs: dict[str, _FuncInfo] = {}
@@ -879,7 +878,7 @@ class _Analyzer:
         except SyntaxError as exc:
             self.parse_failures.append(
                 Diagnostic(
-                    self.parse_rule, Severity.ERROR,
+                    "CON000", Severity.ERROR,
                     f"{path}:{exc.lineno or 1}",
                     f"syntax error: {exc.msg}",
                 )
@@ -1240,33 +1239,15 @@ class _Analyzer:
                 return True
         return False
 
-    def _reachability(
-        self,
-        roots: dict[str, str] | None = None,
-        skip_dunder_callees: bool = False,
-    ) -> dict[str, str]:
-        """func key -> human-readable witness of the root it is reachable
-        from.  ``roots`` defaults to the thread roots; the performance
-        analyzer passes its own hot-root map to reuse the same BFS.
-
-        ``skip_dunder_callees`` drops edges *into* dunder methods.  The
-        name-based method fallback fans ``super().__init__()`` out to
-        every ``__init__`` in the repo — sound over-approximation for
-        lock discipline, but it would mark the whole codebase hot, so
-        the perf analyzer treats constructor bodies as cold setup."""
-        if roots is None:
-            roots = self.roots
+    def _reachability(self) -> dict[str, str]:
+        """func key -> human-readable witness of the thread root."""
         callees: dict[str, set[str]] = {}
         for info in self.funcs.values():
             for site in info.calls:
-                if skip_dunder_callees:
-                    target = self.funcs.get(site.callee)
-                    if target is not None and target.name.startswith("__"):
-                        continue
                 callees.setdefault(info.key, set()).add(site.callee)
         witness: dict[str, str] = {}
         frontier = []
-        for key, reason in roots.items():
+        for key, reason in self.roots.items():
             if key in self.funcs and key not in witness:
                 witness[key] = reason
                 frontier.append(key)

@@ -40,7 +40,7 @@ def polynomial_row(
         # One index-matrix allocation per degree level (two for the common
         # degree-2 case) replaces one np.array per polynomial term; the
         # remaining allocation is the loop's irreducible working set.
-        combos = np.array(  # repro-lint: disable=PERF002
+        combos = np.array(
             list(combinations_with_replacement(range(base.size), d))
         )
         # Sequential column-by-column multiply reproduces np.prod's

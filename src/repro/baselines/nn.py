@@ -72,13 +72,13 @@ def stable_matmul(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     reduction order independent of ``N`` — row ``i`` of the result is
     bit-identical whether computed alone or stacked.  The column loop is a
     deliberate scalarization over the (small) feature axis, exactly like
-    ``LinearModel.predict``; PERF001 would suggest ``X @ W``, which is
-    precisely what must not happen on this path.
+    ``LinearModel.predict``; ``X @ W`` is precisely what must not happen
+    on this path.
     """
     out = np.empty((X.shape[0], W.shape[1]), dtype=np.float64)
-    for j in range(W.shape[1]):  # repro-lint: disable=PERF001
+    for j in range(W.shape[1]):
         total = X[:, 0] * W[0, j]
-        for k in range(1, X.shape[1]):  # repro-lint: disable=PERF001
+        for k in range(1, X.shape[1]):
             total = total + X[:, k] * W[k, j]
         out[:, j] = total
     return out

@@ -706,7 +706,7 @@ def trace_campaign(
     # interleave span streams.  The batchable clean components are already
     # amortised through CLEAN_TIME_CACHE.
     for point in points:
-        _measure_point(  # repro-lint: disable=PERF006
+        _measure_point(
             spec, point, tracer=tracer, grid_cache=grid_cache
         )
     tracer.end()
@@ -893,7 +893,7 @@ def run_campaign(
         # not by batching points.
         for index, point in pending:
             before = profile_cache_stats()
-            records, point_delta, gate = _measure_point(  # repro-lint: disable=PERF006
+            records, point_delta, gate = _measure_point(
                 spec, point, grid_cache=grid_cache
             )
             cache_delta += profile_cache_stats() - before

@@ -550,7 +550,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _LINT_DOMAINS = (
     ("determinism", "DET"),
     ("concurrency", "CON"),
-    ("performance", "PERF"),
     ("suppressions", "SUP"),
 )
 
@@ -589,12 +588,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         con_diags, n_con = analyze_paths(args.paths, ignore=args.ignore)
         diags.extend(con_diags)
         n_files = max(n_files, n_con)
-    if args.domain in ("performance", "all"):
-        from repro.analysis.perf import analyze_paths as analyze_perf
-
-        perf_diags, n_perf = analyze_perf(args.paths, ignore=args.ignore)
-        diags.extend(perf_diags)
-        n_files = max(n_files, n_perf)
     if args.ignore:
         unwanted = set(args.ignore)
         diags = [d for d in diags if d.rule not in unwanted]
@@ -739,24 +732,19 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="lint code for determinism hazards (unseeded RNGs, "
-             "unbounded caches, wall-clock reads), concurrency "
-             "hazards (lock discipline, thread-hostile APIs), or "
-             "hot-path performance hazards (per-element loops over "
-             "vectorizable work)",
+             "unbounded caches, wall-clock reads) or concurrency "
+             "hazards (lock discipline, thread-hostile APIs)",
         epilog=_EXIT_CODES,
     )
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint "
                            "(default: src/repro)")
     lint.add_argument("--domain",
-                      choices=("determinism", "concurrency",
-                               "performance", "all"),
+                      choices=("determinism", "concurrency", "all"),
                       default="determinism",
                       help="which rule family to run: determinism "
                            "(DET0xx, per-file), concurrency (CON0xx, "
-                           "whole-program lock/race analysis), "
-                           "performance (PERF0xx, hot-path "
-                           "vectorization/allocation analysis), or all")
+                           "whole-program lock/race analysis), or all")
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument("--quiet", action="store_true",
                       help="print only the one-line summary")

@@ -17,6 +17,8 @@ Format history:
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
 from pathlib import Path
 from typing import Any
@@ -231,7 +233,31 @@ def save_model(model: object, path: str | Path, audit: str = "warn") -> None:
             RuntimeWarning,
             stacklevel=2,
         )
-    Path(path).write_text(json.dumps(state, indent=2))
+    write_text_atomic(path, json.dumps(state, indent=2))
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a concurrent reader (the
+    serve registry's hot-reload poll) sees the old file or the new one,
+    never a truncated one.
+
+    The text goes to a temp file in the same directory, is fsynced, then
+    renamed over ``path`` with :func:`os.replace`.  The temp name ends in
+    ``.tmp``, so a registry's ``*.json`` directory scan never loads it;
+    it is removed if the write fails."""
+    path = Path(path)
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> object:

@@ -274,10 +274,9 @@ class LinearModel:
         # the serve layer's batched-vs-sequential equivalence relies on.
         # The column loop below is a *deliberate* scalarization over the
         # feature axis (k <= 7 columns), not over the data axis — the
-        # shape-invariant reduction order is the point.  PERF001 would
-        # suggest X @ coef, which is exactly what must not happen here.
+        # shape-invariant reduction order is the point.
         total = X[:, 0] * self.coef[0]
-        for column in range(1, X.shape[1]):  # repro-lint: disable=PERF001
+        for column in range(1, X.shape[1]):
             total = total + X[:, column] * self.coef[column]
         return total
 

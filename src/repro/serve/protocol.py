@@ -40,6 +40,7 @@ number that no measurement backs says so, per response.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -209,9 +210,13 @@ class PredictRequest:
                 raise ProtocolError(
                     "request field 'domain_factor' must be a number"
                 )
-            if factor <= 0:
+            # json parses NaN and +/-Infinity; a NaN factor would pass a
+            # ``<= 0`` test and silently disable every FIT004 warning.
+            # The upper bound also refuses ints too large for a float.
+            if not 0 < factor <= sys.float_info.max:
                 raise ProtocolError(
-                    "request field 'domain_factor' must be positive"
+                    "request field 'domain_factor' must be positive "
+                    "and finite"
                 )
             factor = float(factor)
         if "queries" in obj:
@@ -448,7 +453,7 @@ def answer_request(
         # Per-query try is the protocol contract: the error message must
         # name the offending network@image, and lookup() is cached, so the
         # handler cost is paid once per distinct profile, not per query.
-        try:  # repro-lint: disable=PERF008
+        try:
             profile, features = cache.lookup(
                 query.network, query.image, transform
             )

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.persistence import model_from_dict
+from repro.core.persistence import model_from_dict, write_text_atomic
 
 #: Manifest schema version understood by this registry.
 MANIFEST_VERSION = 1
@@ -207,7 +207,7 @@ class ModelRegistry:
             # the rest of the manifest down, and each failure message must
             # name its artifact.  The loop is bounded by the manifest size
             # (a handful of models), not by request volume.
-            try:  # repro-lint: disable=PERF008
+            try:
                 stat = path.stat()
             except OSError as exc:
                 fresh_failures[name] = (
@@ -217,7 +217,7 @@ class ModelRegistry:
             if current.get(name) == (path, stat.st_mtime_ns, stat.st_size):
                 unchanged.add(name)
                 continue
-            try:  # repro-lint: disable=PERF008
+            try:
                 loaded[name] = _load_artifact(name, path, device)
             except RegistryError as exc:
                 fresh_failures[name] = str(exc)
@@ -350,12 +350,13 @@ def write_manifest(
 ) -> Path:
     """Write a registry manifest; ``models`` maps name -> {file, device?}."""
     path = Path(root) / MANIFEST_NAME
-    path.write_text(
+    write_text_atomic(
+        path,
         json.dumps(
             {"version": MANIFEST_VERSION, "models": models},
             indent=2,
             sort_keys=True,
         )
-        + "\n"
+        + "\n",
     )
     return path

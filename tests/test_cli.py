@@ -342,6 +342,23 @@ class TestLintDomains:
             main(["lint", "--domain", "nonsense"])
         assert exc.value.code == 2
 
+    def test_statistics_flag_counts_by_domain(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text("import random\n" + self.RACY +
+                       "def draw():\n    return random.random()\n")
+        assert main(["lint", "--domain", "all", "--statistics",
+                     str(bad)]) == 1
+        out = capsys.readouterr().out
+        stats = out[out.index("statistics:"):].splitlines()
+        assert stats == [
+            "statistics:",
+            "  determinism (DET): 1",
+            "    DET001: 1",
+            "  concurrency (CON): 1",
+            "    CON001: 1",
+            "  suppressions (SUP): 0",
+        ]
+
 
 class TestLeaderboardCommand:
     def test_fast_single_scenario_writes_payload(self, tmp_path, capsys):

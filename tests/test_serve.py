@@ -35,7 +35,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.forward import ForwardModel
-from repro.core.persistence import save_model
+from repro.core.persistence import load_model, save_model
 from repro.core.training import GradientUpdateModel, TrainingStepModel
 from repro.serve import (
     ModelRegistry,
@@ -463,6 +463,25 @@ class TestErrors:
         assert status == 400
         assert "batch" in body["error"]
 
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400]
+    )
+    def test_non_finite_domain_factor_400(self, server, literal):
+        from repro.serve.protocol import PredictRequest, ProtocolError
+
+        # Python's json accepts these literals, so the parser must reject
+        # them explicitly: a NaN factor would mute every FIT004 warning,
+        # and an int beyond float range must be a 400, not a 500.
+        raw = ('{"network": "alexnet", "batch": 8, '
+               f'"domain_factor": {literal}}}')
+        with pytest.raises(ProtocolError, match="domain_factor") as exc:
+            PredictRequest.parse(json.loads(raw))
+        assert exc.value.status == 400
+        status, body = _request(server, "POST", "/predict",
+                                raw=raw.encode())
+        assert status == 400
+        assert "domain_factor" in body["error"]
+
     def test_empty_queries_400(self, server):
         status, body = _post(server, {"queries": []})
         assert status == 400
@@ -757,6 +776,72 @@ class TestHotReload:
             assert status == 200
         finally:
             _shutdown(server, thread)
+
+    def test_interrupted_save_keeps_previous_artifact_served(
+        self, tmp_path, registry_dir, monkeypatch
+    ):
+        root = tmp_path / "reg"
+        root.mkdir()
+        path = root / "default.json"
+        shutil.copy(registry_dir / "default.json", path)
+        previous = path.read_bytes()
+        registry = ModelRegistry(root)
+        server, thread = _boot(registry)
+        try:
+            query = {"network": "resnet18", "batch": 8}
+            _, before = _post(server, query)
+            doubled = load_model(path)
+            doubled.model.coef = 2 * doubled.model.coef
+
+            def crash_before_commit(fd):
+                # The new artifact is written but not yet committed: a
+                # registry poll landing now must still see the old file.
+                assert path.read_bytes() == previous
+                registry.refresh()
+                assert _post(server, query) == (200, before)
+                raise OSError("simulated crash mid-save")
+
+            monkeypatch.setattr(os, "fsync", crash_before_commit)
+            with pytest.raises(OSError, match="simulated crash"):
+                save_model(doubled, path, audit="off")
+            monkeypatch.undo()
+
+            assert path.read_bytes() == previous
+            assert sorted(p.name for p in root.iterdir()) == ["default.json"]
+            registry.refresh()
+            assert _post(server, query) == (200, before)
+            _, health = _get(server, "/healthz")
+            assert health["models"]["default"]["reloads"] == 0
+        finally:
+            _shutdown(server, thread)
+
+    def test_interrupted_manifest_write_keeps_previous_manifest(
+        self, tmp_path, registry_dir, monkeypatch
+    ):
+        root = tmp_path / "reg"
+        root.mkdir()
+        shutil.copy(registry_dir / "default.json", root / "a.json")
+        manifest = write_manifest(root, {"default": {"file": "a.json"}})
+        previous = manifest.read_bytes()
+        registry = ModelRegistry(root)
+
+        def crash_before_commit(fd):
+            assert manifest.read_bytes() == previous
+            registry.refresh()
+            assert registry.names() == ["default"]
+            raise OSError("simulated crash mid-write")
+
+        monkeypatch.setattr(os, "fsync", crash_before_commit)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_manifest(root, {"renamed": {"file": "a.json"}})
+        monkeypatch.undo()
+
+        assert manifest.read_bytes() == previous
+        assert sorted(p.name for p in root.iterdir()) == [
+            "a.json", "registry.json"
+        ]
+        registry.refresh()
+        assert registry.names() == ["default"]
 
 
 # -- golden response ---------------------------------------------------------
