@@ -8,8 +8,9 @@ report MAPE (:func:`repro.core.loo.leave_one_out`).  Scenarios cover
 inference, single-device training steps, and multi-node scaling.
 
 The leaderboard payload (``BENCH_leaderboard.json``) is schema-stamped
-``repro/leaderboard-bench/v1`` and validated through the shared
-:func:`repro.serve.bench.validate_bench_payload` dispatch.  Every input
+``repro/leaderboard-bench/v1`` and validated by
+:func:`validate_leaderboard_payload` (also reachable as
+:func:`repro.serve.validate_bench_payload`).  Every input
 is seeded and every fit is deterministic, so two runs with the same
 configuration produce **byte-identical** files — gated by
 ``tests/test_leaderboard.py``.
@@ -39,6 +40,7 @@ from repro.benchdata.campaign import (
 )
 from repro.benchdata.records import Dataset, TimingRecord
 from repro.core.loo import LeaveOneOutResult, leave_one_out
+from repro.core.persistence import write_text_atomic
 
 #: Schema identifier stamped into every leaderboard payload.
 LEADERBOARD_SCHEMA = "repro/leaderboard-bench/v1"
@@ -362,7 +364,8 @@ def write_leaderboard(payload: dict[str, Any], path: str | Path) -> None:
     """Persist a leaderboard payload (schema-validated first).
 
     Serialisation is canonical (sorted keys, fixed indentation, trailing
-    newline), so identical payloads write byte-identical files.
+    newline), so identical payloads write byte-identical files; the write
+    is atomic, so a reader never sees a torn file.
     """
     problems = validate_leaderboard_payload(payload)
     if problems:
@@ -370,8 +373,8 @@ def write_leaderboard(payload: dict[str, Any], path: str | Path) -> None:
             "refusing to write an invalid leaderboard payload: "
             + "; ".join(problems)
         )
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_text_atomic(
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
 

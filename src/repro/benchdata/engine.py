@@ -165,7 +165,7 @@ def _clean_time_grid(
         executor = SimulatedExecutor(
             spec.device, seed=spec.seed, backend=_spec_backend(spec)
         )
-        return executor.clean_time_grids(
+        return executor.backend.clean_time_grids(
             profile,
             spec.batch_sizes,
             training=spec.scenario == "training",
@@ -449,9 +449,9 @@ def _gated(
             estimate += clean[1]
         return "budget" if estimate > spec.max_seconds else ""
     executor = SimulatedExecutor(spec.device, seed=spec.seed, backend=backend)
-    estimate = executor.forward_time_clean(profile, point.batch)
+    estimate = executor.backend.forward_time_clean(profile, point.batch)
     if spec.scenario == "training":
-        estimate += executor.backward_time_clean(profile, point.batch)
+        estimate += executor.backend.backward_time_clean(profile, point.batch)
     return "budget" if estimate > spec.max_seconds else ""
 
 
@@ -536,9 +536,8 @@ def _measure_point(
     point that is the batch's step plan, features and work counters,
     shared by every node count — and skips the redundant memory re-check
     (gating already proved the fit).  Records and counters are
-    bit-identical either way; ``grid_cache=False`` exists so the
-    perf-trajectory benchmark can measure the ungridded baseline and the
-    equivalence suite can prove the identity.
+    bit-identical either way; ``grid_cache=False`` is the ungridded
+    reference the equivalence suites compare against.
     """
     profile = _point_profile(spec, point)
     clean: tuple[float, ...] | None = None
@@ -848,8 +847,7 @@ def run_campaign(
     every scenario, a distributed sweep's step plans included, so each
     ``(model, image_size)`` pays them once across all its batches and node
     counts; the record stream is bit-identical with it off, just slower —
-    the switch exists for the perf-trajectory baseline and the equivalence
-    tests.
+    the switch exists as the reference of the equivalence tests.
     """
     # The compile step inside verification is where each unique graph
     # misses; its lookups count toward the campaign's cache stats.

@@ -5,6 +5,10 @@ Layout of a store directory::
     manifest.json    # spec fingerprint + status; written once, updated last
     records.jsonl    # one line per completed sweep point, appended live
 
+The manifest is replaced atomically
+(:func:`repro.core.persistence.write_text_atomic`), so a crash mid-write
+leaves the previous manifest intact for ``--resume``.
+
 Each JSONL line is ``{"key": <point key>, "records": [<record dicts>]}``.
 Gated points (out of memory, over the runtime budget) are logged with an
 empty record list, so a resumed run restores the *decision*, not just the
@@ -23,6 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, IO
 
 from repro.benchdata.records import TimingRecord
+from repro.core.persistence import write_text_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids cycle
     from repro.benchdata.engine import CampaignSpec, CampaignStats
@@ -75,7 +80,8 @@ class CampaignStore:
                 )
         else:
             store.directory.mkdir(parents=True, exist_ok=True)
-            manifest_path.write_text(
+            write_text_atomic(
+                manifest_path,
                 json.dumps(
                     {
                         "version": _VERSION,
@@ -84,7 +90,7 @@ class CampaignStore:
                         "complete": False,
                     },
                     indent=2,
-                )
+                ),
             )
         return store
 
@@ -154,4 +160,4 @@ class CampaignStore:
         manifest = json.loads(manifest_path.read_text())
         manifest["complete"] = True
         manifest["stats"] = stats.to_dict()
-        manifest_path.write_text(json.dumps(manifest, indent=2))
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=2))

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.graph.graph import ComputeGraph
 from repro.hardware.backend import (
     ExecutionBackend,
@@ -88,54 +86,12 @@ class SimulatedExecutor:
         self.device = backend.device
         self.seed = seed
 
-    # -- profile plumbing ----------------------------------------------------
-
-    def profile(self, graph: ComputeGraph) -> CostProfile:
-        return profile_graph(graph)
-
     def _noise(self, *identity: object) -> float:
         # Seeded purely by the measurement identity (never call order), so
         # parallel and resumed campaigns reproduce serial timings exactly.
         # The backend contributes its noise tag — the bare device name for
         # the default roofline backend, preserving the historical stream.
         return self.backend.noise_factor(self.seed, *identity)
-
-    # -- noise-free components ---------------------------------------------
-
-    def forward_time_clean(self, profile: CostProfile, batch: int) -> float:
-        """Deterministic forward-pass time (also the inference time)."""
-        return self.backend.forward_time_clean(profile, batch)
-
-    def backward_time_clean(self, profile: CostProfile, batch: int) -> float:
-        """Deterministic backward-pass time."""
-        return self.backend.backward_time_clean(profile, batch)
-
-    def grad_update_time_clean(self, profile: CostProfile) -> float:
-        """Deterministic single-device optimizer (Adam) step time."""
-        return self.backend.grad_update_time_clean(profile)
-
-    def clean_time_grids(
-        self,
-        profile: CostProfile,
-        batches: "tuple[int, ...] | list[int]",
-        training: bool = False,
-    ) -> dict[int, tuple[float, ...]]:
-        """Clean-time components for a whole batch sweep, in one shot.
-
-        See :meth:`ExecutionBackend.clean_time_grids`; each component is
-        bit-identical to the corresponding ``*_time_clean`` call.
-        """
-        return self.backend.clean_time_grids(profile, batches, training)
-
-    def layer_breakdown(
-        self, profile: CostProfile, batch: int
-    ) -> np.ndarray:
-        """Noise-free per-layer forward times — simulator observability.
-
-        Sums (plus the base overhead) to :meth:`forward_time_clean`, so
-        the breakdown is exact, not approximate.
-        """
-        return self.backend.layer_times(profile, batch)
 
     # -- span emission -------------------------------------------------------
 
@@ -210,7 +166,7 @@ class SimulatedExecutor:
         """One noisy inference measurement, seconds.
 
         ``clean_time`` short-circuits the deterministic component with a
-        precomputed :meth:`forward_time_clean` value (the campaign engine
+        precomputed ``backend.forward_time_clean`` value (the campaign engine
         supplies it from a per-model grid cache); the caller is
         responsible for it matching ``(profile, batch)``.
 
@@ -231,7 +187,7 @@ class SimulatedExecutor:
         if enforce_memory:
             self.backend.check_fits(profile, batch, training=False)
         clean = (
-            self.forward_time_clean(profile, batch)
+            self.backend.forward_time_clean(profile, batch)
             if clean_time is None
             else clean_time
         )
@@ -258,7 +214,7 @@ class SimulatedExecutor:
 
         ``clean_times`` short-circuits the deterministic
         ``(forward, backward, grad_update)`` components with precomputed
-        values from :meth:`clean_time_grids`; the noise stream is
+        values from ``backend.clean_time_grids``; the noise stream is
         untouched either way.
         """
         profile = self._as_profile(graph_or_profile)
@@ -266,9 +222,9 @@ class SimulatedExecutor:
             self.backend.check_fits(profile, batch, training=True)
         if clean_times is None:
             clean_times = (
-                self.forward_time_clean(profile, batch),
-                self.backward_time_clean(profile, batch),
-                self.grad_update_time_clean(profile),
+                self.backend.forward_time_clean(profile, batch),
+                self.backend.backward_time_clean(profile, batch),
+                self.backend.grad_update_time_clean(profile),
             )
         name = profile.graph_name
         fwd_noise = self._noise(name, batch, "fwd", rep)

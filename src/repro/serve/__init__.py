@@ -11,21 +11,13 @@ modules, stdlib-only (``http.server`` threading — no new dependencies):
   the vectorized batched predict (bit-equal to sequential evaluation);
 * :mod:`repro.serve.server` — the threaded HTTP server with
   ``/predict``, ``/healthz`` and ``/metrics`` (trace-counter backed);
-* :mod:`repro.serve.bench` — the deterministic load generator behind
-  ``repro serve --bench`` and the ``BENCH_serve.json`` schema.
+* :mod:`repro.serve.bench` — :func:`validate_bench_payload`, the schema
+  check of the ``BENCH_leaderboard.json`` payload.
 
 See ``docs/serving.md`` for the protocol and registry layout.
 """
 
-from repro.serve.bench import (
-    BENCH_SCHEMA,
-    BenchConfig,
-    bench_registry,
-    build_mix,
-    run_bench,
-    validate_bench_payload,
-    write_bench,
-)
+from repro.serve.bench import validate_bench_payload
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     FeatureCache,
@@ -46,10 +38,8 @@ from repro.serve.registry import (
 from repro.serve.server import PredictionServer, make_server
 
 __all__ = [
-    "BENCH_SCHEMA",
     "PROTOCOL_VERSION",
     "ArtifactEntry",
-    "BenchConfig",
     "FeatureCache",
     "ModelRegistry",
     "PredictQuery",
@@ -59,13 +49,9 @@ __all__ = [
     "RegistryError",
     "UnknownArtifactError",
     "answer_request",
-    "bench_registry",
-    "build_mix",
     "make_server",
     "predict_forward_batch",
     "predict_step_batch",
-    "run_bench",
     "validate_bench_payload",
-    "write_bench",
     "write_manifest",
 ]

@@ -40,6 +40,7 @@ number that no measurement backs says so, per response.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -87,12 +88,20 @@ class ProtocolError(ValueError):
         self.status = status
 
 
+#: Upper bound of every integer query field (the int32 maximum).  JSON
+#: integers are unbounded; past float range a batch or image overflows
+#: the feature arithmetic, and long before it a prediction is meaningless.
+MAX_QUERY_INT = 2**31 - 1
+
+
 def _positive_int(obj: dict, key: str, default: int) -> int:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProtocolError(f"query field {key!r} must be an integer")
     if value < 1:
         raise ProtocolError(f"query field {key!r} must be >= 1, got {value}")
+    if value > MAX_QUERY_INT:
+        raise ProtocolError(f"query field {key!r} must be <= {MAX_QUERY_INT}")
     return value
 
 
@@ -162,9 +171,11 @@ class PredictQuery:
             raise ProtocolError("query field 'node_counts' must be a list")
         node_counts = []
         for n in raw_counts:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            if (isinstance(n, bool) or not isinstance(n, int)
+                    or not 1 <= n <= MAX_QUERY_INT):
                 raise ProtocolError(
-                    "query field 'node_counts' must hold integers >= 1"
+                    "query field 'node_counts' must hold integers in "
+                    f"[1, {MAX_QUERY_INT}]"
                 )
             node_counts.append(n)
         return PredictQuery(
@@ -335,6 +346,25 @@ def predict_step_batch(
 # -- request answering -------------------------------------------------------
 
 
+def _served_time(
+    query: PredictQuery, t: float, work: int
+) -> tuple[float, float]:
+    """``(t_seconds, throughput)`` of one answer, both finite.
+
+    A predicted time that is not finite and positive — a query whose
+    features overflow the fit, say — answers 400 rather than a 200 whose
+    body holds ``Infinity`` or ``NaN``.
+    """
+    throughput = work / t if t > 0 else math.nan
+    if not (math.isfinite(t) and math.isfinite(throughput)):
+        raise ProtocolError(
+            f"{query.network}@{query.image} batch {query.batch}: the "
+            f"predicted time ({t!r} s) is not finite and positive; the "
+            "query lies outside what the artifact can answer"
+        )
+    return t, throughput
+
+
 def _memory_note(
     query: PredictQuery, profile: CostProfile, training: bool
 ) -> list[str]:
@@ -394,6 +424,8 @@ def _scaling_prediction(
         model, features, query.batch, query.node_counts,
         gpus_per_node=query.gpus_per_node, domain_factor=None,
     )
+    for p in points:
+        _served_time(query, p.step_time, p.per_device_batch * p.devices)
     return {
         "kind": "scaling",
         "network": query.network,
@@ -483,7 +515,10 @@ def answer_request(
             fwd_times, bwd_times = fwd.tolist(), bwd.tolist()
             for j, i in enumerate(plain):
                 query, profile, features, fused = resolved[i]
-                total = fwd_times[j] + bwd_times[j]
+                total, throughput = _served_time(
+                    query, fwd_times[j] + bwd_times[j],
+                    query.batch * query.devices,
+                )
                 predictions[i] = {
                     "kind": "training_step",
                     "network": query.network,
@@ -497,7 +532,7 @@ def answer_request(
                         "forward": fwd_times[j],
                         "backward_plus_update": bwd_times[j],
                     },
-                    "throughput": query.batch * query.devices / total,
+                    "throughput": throughput,
                     "warnings": prediction_warnings(
                         model, features, query.batch,
                         devices=query.devices, nodes=query.nodes,
@@ -509,7 +544,7 @@ def answer_request(
             times = predict_forward_batch(model, feats, batches).tolist()
             for j, i in enumerate(plain):
                 query, profile, features, fused = resolved[i]
-                t = times[j]
+                t, throughput = _served_time(query, times[j], query.batch)
                 predictions[i] = {
                     "kind": entry.kind,
                     "network": query.network,
@@ -519,7 +554,7 @@ def answer_request(
                     "devices": query.devices,
                     "fuse": fused,
                     "t_seconds": t,
-                    "throughput": query.batch / t,
+                    "throughput": throughput,
                     "warnings": prediction_warnings(
                         model, features, query.batch,
                         devices=query.devices, nodes=query.nodes,
@@ -549,8 +584,10 @@ def answer_request(
             training = model.target == "total"
             for j, i in enumerate(plain):
                 query, profile, features, fused = resolved[i]
-                t = times[j]
                 scale = query.devices if training else 1
+                t, throughput = _served_time(
+                    query, times[j], query.batch * scale
+                )
                 predictions[i] = {
                     "kind": entry.kind,
                     "target": model.target,
@@ -561,7 +598,7 @@ def answer_request(
                     "devices": query.devices,
                     "fuse": fused,
                     "t_seconds": t,
-                    "throughput": query.batch * scale / t,
+                    "throughput": throughput,
                     "warnings": artifact_prediction_warnings(
                         model, records[j : j + 1], factor
                     )

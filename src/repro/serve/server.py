@@ -13,8 +13,7 @@ Counters ride on the trace subsystem's :class:`~repro.trace.Tracer` — the
 same ``name -> float`` counter shape campaigns persist to store manifests
 — guarded by one lock so concurrent request threads never lose updates
 and ``/metrics`` reads are consistent snapshots.  Simulated prediction
-math stays deterministic; only observability (latency in the bench
-driver) ever touches a real clock, via ``time.perf_counter``.
+math stays deterministic and reads no clock.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class PredictionServer(ThreadingHTTPServer):
         }
 
     def serve_background(self) -> threading.Thread:
-        """Run ``serve_forever`` on a daemon thread (tests, bench mode)."""
+        """Run ``serve_forever`` on a daemon thread (tests, embedding)."""
         thread = threading.Thread(
             target=self.serve_forever, name="repro-serve", daemon=True
         )

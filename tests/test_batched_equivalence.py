@@ -205,16 +205,18 @@ class TestTriageByteIdentity:
         profile = zoo_profile("alexnet", 64)
         executor = SimulatedExecutor(get_device("a100-80gb"), seed=3)
         batches = (1, 8, 64)
-        inference = executor.clean_time_grids(profile, batches)
-        training = executor.clean_time_grids(profile, batches, training=True)
+        inference = executor.backend.clean_time_grids(profile, batches)
+        training = executor.backend.clean_time_grids(
+            profile, batches, training=True
+        )
         for batch in batches:
             assert inference[batch] == (
-                executor.forward_time_clean(profile, batch),
+                executor.backend.forward_time_clean(profile, batch),
             )
             assert training[batch] == (
-                executor.forward_time_clean(profile, batch),
-                executor.backward_time_clean(profile, batch),
-                executor.grad_update_time_clean(profile),
+                executor.backend.forward_time_clean(profile, batch),
+                executor.backend.backward_time_clean(profile, batch),
+                executor.backend.grad_update_time_clean(profile),
             )
 
     def test_campaign_grid_cache_records_identical(self):
@@ -223,24 +225,24 @@ class TestTriageByteIdentity:
         from repro.hardware.device import get_device
         from repro.hardware.roofline import COMPILE_CACHE
 
-        spec = CampaignSpec(
-            scenario="training",
-            models=("alexnet",),
-            device=get_device("a100-80gb"),
-            batch_sizes=(1, 8, 32),
-            image_sizes=(64,),
-            seed=37,
-        )
-
-        def cold_run(grid_cache):
+        def cold_run(spec, grid_cache):
             for cache in (COMPILE_CACHE, CLEAN_TIME_CACHE):
                 cache.clear()
             return run_campaign(spec, verify="off", grid_cache=grid_cache)
 
-        uncached = cold_run(grid_cache=False)
-        cached = cold_run(grid_cache=True)
-        assert cached.dataset.records == uncached.dataset.records
-        assert cached.stats.counters == uncached.stats.counters
+        for scenario in ("training", "inference"):
+            spec = CampaignSpec(
+                scenario=scenario,
+                models=("alexnet",),
+                device=get_device("a100-80gb"),
+                batch_sizes=(1, 8, 32),
+                image_sizes=(64,),
+                seed=37,
+            )
+            uncached = cold_run(spec, grid_cache=False)
+            cached = cold_run(spec, grid_cache=True)
+            assert cached.dataset.records == uncached.dataset.records
+            assert cached.stats.counters == uncached.stats.counters
 
     def test_pipeline_memoization_identical_and_idempotent(self):
         from repro.graph.passes import (

@@ -8,6 +8,7 @@ fresh runs, plus the store's refusal modes.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,37 @@ class TestResume:
         ) as store:
             resumed = run_campaign(REFERENCE_SPEC, workers=2, store=store)
         assert resumed.dataset.records == serial_result.dataset.records
+
+    def test_interrupted_finalize_keeps_previous_manifest(
+        self, tmp_path, serial_result, monkeypatch
+    ):
+        directory = tmp_path / "run"
+        manifest_path = directory / "manifest.json"
+        store = CampaignStore.open(directory, REFERENCE_SPEC)
+        previous = manifest_path.read_bytes()
+
+        def crash_before_commit(fd):
+            # The finished manifest is written but not yet committed: a
+            # reader landing now must still see the open-time manifest.
+            assert manifest_path.read_bytes() == previous
+            raise OSError("simulated crash mid-write")
+
+        monkeypatch.setattr(os, "fsync", crash_before_commit)
+        with pytest.raises(OSError, match="simulated crash"), store:
+            run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        monkeypatch.undo()
+
+        assert manifest_path.read_bytes() == previous
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "manifest.json", "records.jsonl"
+        ]
+        with CampaignStore.open(
+            directory, REFERENCE_SPEC, resume=True
+        ) as store:
+            resumed = run_campaign(REFERENCE_SPEC, workers=1, store=store)
+        assert resumed.stats.n_restored == resumed.stats.n_points
+        assert resumed.dataset.records == serial_result.dataset.records
+        assert json.loads(manifest_path.read_text())["complete"] is True
 
     def test_existing_store_without_resume_refused(self, tmp_path):
         directory = tmp_path / "run"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,24 @@ class TestLeaderboardDeterminism:
         write_leaderboard(payload, a)
         write_leaderboard(again, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_interrupted_write_keeps_previous_file(
+        self, tmp_path, payload, monkeypatch
+    ):
+        path = tmp_path / "BENCH_leaderboard.json"
+        path.write_text("previous\n")
+
+        def crash_before_commit(fd):
+            assert path.read_text() == "previous\n"
+            raise OSError("simulated crash mid-write")
+
+        monkeypatch.setattr(os, "fsync", crash_before_commit)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_leaderboard(payload, path)
+        monkeypatch.undo()
+
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_seed_changes_the_campaign(self, payload):
         other = run_leaderboard(

@@ -24,6 +24,7 @@ and ``http.client`` requests against it.  The suites cover
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -32,6 +33,7 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.forward import ForwardModel
@@ -117,6 +119,16 @@ def registry_dir(tmp_path_factory, small_inference_data,
 @pytest.fixture(scope="module")
 def server(registry_dir):
     server, thread = _boot(ModelRegistry(registry_dir))
+    yield server
+    _shutdown(server, thread)
+
+
+@pytest.fixture(scope="module")
+def golden_server(tmp_path_factory):
+    """A server over the pinned ``model_v2_golden.json`` artifact."""
+    root = tmp_path_factory.mktemp("golden-registry")
+    shutil.copy(DATA_DIR / "model_v2_golden.json", root / "default.json")
+    server, thread = _boot(ModelRegistry(root))
     yield server
     _shutdown(server, thread)
 
@@ -558,6 +570,103 @@ class TestErrors:
             assert conn.getresponse().status == 413
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch", 10**400),
+            ("image", 10**200),
+            ("batch", 10**300),
+            ("batch", 2**31),
+            ("nodes", 10**30),
+            ("devices", 10**400),
+            ("gpus_per_node", 10**400),
+            ("node_counts", [1, 10**400]),
+        ],
+        ids=["batch-1e400", "image-1e200", "batch-1e300", "batch-2^31",
+             "nodes-1e30", "devices-1e400", "gpus_per_node-1e400",
+             "node_counts-1e400"],
+    )
+    def test_integer_beyond_query_range_400(self, server, field, value):
+        from repro.serve.protocol import PredictRequest, ProtocolError
+
+        # JSON integers are unbounded.  Past float range they raised
+        # OverflowError (a 500); 10**300 answered 200 with Infinity.
+        body = {"network": "alexnet", field: value}
+        with pytest.raises(ProtocolError, match=field) as exc:
+            PredictRequest.parse(body)
+        assert exc.value.status == 400
+        status, payload = _post(server, body)
+        assert status == 400
+        assert field in payload["error"]
+
+    @pytest.mark.parametrize(
+        "artifact, node_counts",
+        [("default", ()), ("step", ()), ("step", (1, 2))],
+        ids=["forward", "training_step", "scaling"],
+    )
+    def test_non_finite_prediction_400(self, server, artifact, node_counts):
+        from repro.serve.protocol import (
+            FeatureCache,
+            PredictQuery,
+            PredictRequest,
+            ProtocolError,
+            answer_request,
+        )
+
+        # Built past the parser's bound, the query predicts Infinity:
+        # the answer is a 400, never a 200 carrying a non-finite number.
+        query = PredictQuery("alexnet", batch=10**300, node_counts=node_counts)
+        with pytest.raises(ProtocolError, match="not finite") as exc:
+            answer_request(
+                PredictRequest(None, (query,), False),
+                server.registry.get(artifact),
+                FeatureCache(),
+            )
+        assert exc.value.status == 400
+
+    @given(
+        network=st.sampled_from(["alexnet", "resnet18", "mobilenet_v2"]),
+        fields=st.dictionaries(
+            st.sampled_from(
+                ["image", "batch", "nodes", "devices", "gpus_per_node"]
+            ),
+            st.one_of(
+                st.integers(-4, 4096),
+                st.integers(2**31 - 4, 2**31 + 4),
+                st.integers(-(10**401) + 1, 10**401 - 1),
+            ),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_fields_answer_finite_or_4xx(
+        self, golden_server, network, fields
+    ):
+        from repro.serve.protocol import (
+            FeatureCache,
+            PredictRequest,
+            ProtocolError,
+            answer_request,
+        )
+
+        body = {"network": network, **fields}
+        try:
+            request = PredictRequest.parse(body)
+            expected = 200, answer_request(
+                request, golden_server.registry.get("default"),
+                FeatureCache(),
+            )
+        except ProtocolError as exc:
+            expected = exc.status, None
+        status, payload = _post(golden_server, body)
+        assert status == expected[0]
+        if status == 200:
+            assert payload == json.loads(json.dumps(expected[1]))
+            t = payload["prediction"]["t_seconds"]
+            assert math.isfinite(t) and t >= 0
+            json.dumps(payload, allow_nan=False)  # every number finite
+        else:
+            assert 400 <= status < 500
 
 
 # -- observability -----------------------------------------------------------

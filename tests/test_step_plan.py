@@ -15,6 +15,7 @@ simulator::
     PYTHONPATH=src python tests/test_step_plan.py > tests/data/distributed_golden.json
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -347,11 +348,18 @@ class TestStepPlan:
 
 
 class TestDistributedGridCache:
-    @pytest.mark.parametrize("backend", ["", "edge"])
-    def test_campaign_grid_cache_records_identical(self, backend):
+    @pytest.mark.parametrize(
+        "scenario, backend",
+        [
+            pytest.param("distributed", "", id=""),
+            pytest.param("distributed", "edge", id="edge"),
+            pytest.param("inference", "", id="inference"),
+        ],
+    )
+    def test_campaign_grid_cache_records_identical(self, scenario, backend):
         device = DEVICE_PRESETS["jetson-orin-nano"] if backend else A100_80GB
         spec = CampaignSpec(
-            scenario="distributed",
+            scenario=scenario,
             models=("alexnet", "mobilenet_v2"),
             device=device,
             batch_sizes=(16, 64, 256),
@@ -373,13 +381,17 @@ class TestDistributedGridCache:
         assert (cached.stats.n_oom > 0) == bool(backend)
 
     def test_grid_hits_every_point_but_one_per_graph(self, cold_caches):
-        spec = _golden_spec()
-        before = CLEAN_TIME_CACHE.stats()
-        result = run_campaign(spec, verify="off")
-        delta = CLEAN_TIME_CACHE.stats() - before
-        graphs = len({(p.model, p.image_size) for p in enumerate_points(spec)})
-        assert delta.lookups == result.stats.n_points
-        assert delta.misses == graphs
+        for scenario in ("distributed", "inference"):
+            _clear_caches()
+            spec = dataclasses.replace(_golden_spec(), scenario=scenario)
+            before = CLEAN_TIME_CACHE.stats()
+            result = run_campaign(spec, verify="off")
+            delta = CLEAN_TIME_CACHE.stats() - before
+            graphs = len(
+                {(p.model, p.image_size) for p in enumerate_points(spec)}
+            )
+            assert delta.lookups == result.stats.n_points, scenario
+            assert delta.misses == graphs, scenario
 
 
 # -- (d) one batched backward sweep per graph ---------------------------------

@@ -33,8 +33,8 @@ class TestScaledDevice:
 
         def speedup(model):
             p = zoo_profile(model, 224)
-            return base_ex.forward_time_clean(p, 64) / (
-                fat_ex.forward_time_clean(p, 64)
+            return base_ex.backend.forward_time_clean(p, 64) / (
+                fat_ex.backend.forward_time_clean(p, 64)
             )
 
         assert speedup("mobilenet_v2") > speedup("vgg16")
@@ -45,8 +45,8 @@ class TestScaledDevice:
         base_ex = SimulatedExecutor(A100_80GB, seed=1)
         fast_ex = SimulatedExecutor(fast, seed=1)
         p = zoo_profile("vgg16", 224)
-        speedup = base_ex.forward_time_clean(p, 64) / (
-            fast_ex.forward_time_clean(p, 64)
+        speedup = base_ex.backend.forward_time_clean(p, 64) / (
+            fast_ex.backend.forward_time_clean(p, 64)
         )
         assert speedup > 1.6
 
@@ -116,8 +116,8 @@ class TestLayerBreakdown:
     def test_sums_to_clean_forward_time(self):
         ex = SimulatedExecutor(A100_80GB, seed=0)
         p = zoo_profile("resnet18", 64)
-        breakdown = ex.layer_breakdown(p, 16)
-        total = ex.forward_time_clean(p, 16)
+        breakdown = ex.backend.layer_times(p, 16)
+        total = ex.backend.forward_time_clean(p, 16)
         assert float(breakdown.sum()) + A100_80GB.base_overhead == (
             pytest.approx(total)
         )
@@ -125,7 +125,7 @@ class TestLayerBreakdown:
     def test_conv_layers_dominate_vgg(self):
         ex = SimulatedExecutor(A100_80GB, seed=0)
         p = zoo_profile("vgg16", 224)
-        breakdown = ex.layer_breakdown(p, 64)
+        breakdown = ex.backend.layer_times(p, 64)
         conv_time = float(breakdown[p.is_conv].sum())
         assert conv_time > 0.7 * float(breakdown.sum())
 
